@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from repro.semgrepx.errors import SemgrepPatternError, SemgrepRuleError
 from repro.semgrepx.loader import load_rules_yaml
-from repro.semgrepx.matcher import ScanTarget, SemgrepFinding
+from repro.semgrepx.matcher import ParsedFile, ScanTarget, SemgrepFinding
 from repro.semgrepx.pattern import Pattern
 from repro.semgrepx.rule import SemgrepRule
 
@@ -46,38 +46,36 @@ class CompiledSemgrepRule:
             return []
         findings: list[SemgrepFinding] = []
         for parsed in target.parsed_files:
-            findings.extend(self._match_file(parsed.path, parsed.source, parsed.tree))
+            findings.extend(self._match_file(parsed))
             if len(findings) >= max_findings:
                 break
         return findings[:max_findings]
 
-    def _match_file(self, path: str, source: str, tree) -> list[SemgrepFinding]:
+    def _match_file(self, parsed: ParsedFile) -> list[SemgrepFinding]:
         findings: list[SemgrepFinding] = []
+        path = parsed.path
 
         # pattern-not: if any negative pattern matches the file, suppress it
         for negative in self.not_patterns:
-            if tree is not None and negative.matches(tree):
+            if negative.matches(parsed.index):
                 return []
 
         if self.regex is not None:
-            for found in self.regex.finditer(source):
-                line = source.count("\n", 0, found.start()) + 1
+            for found in self.regex.finditer(parsed.source):
+                line = parsed.source.count("\n", 0, found.start()) + 1
                 findings.append(self._finding(path, line))
                 break  # one regex finding per file is enough for detection
 
-        if tree is None:
-            return findings
-
         # patterns (AND): every pattern must match somewhere in the file
         if self.all_patterns:
-            all_results = [p.match_tree(tree, max_matches=5) for p in self.all_patterns]
+            all_results = [p.match_tree(parsed.index, max_matches=5) for p in self.all_patterns]
             if all(all_results):
                 first = all_results[0][0]
                 findings.append(self._finding(path, first.line, first.bindings))
 
         # pattern / pattern-either (OR): any single match fires
         for pattern in self.either_patterns:
-            results = pattern.match_tree(tree, max_matches=5)
+            results = pattern.match_tree(parsed.index, max_matches=5)
             if results:
                 findings.append(self._finding(path, results[0].line, results[0].bindings))
 

@@ -2,7 +2,9 @@
 
 A :class:`ScanTarget` wraps one package (or an arbitrary set of source
 files), parses every Python file once, and builds a cheap text index used to
-skip rules whose anchors cannot possibly be present.  Rule sets then match
+skip rules whose anchors cannot possibly be present.  Each parsed file also
+indexes its tree (:class:`~repro.semgrepx.pattern.TreeIndex`) on first use,
+shared by every pattern of every rule.  Rule sets then match
 against the target; results are :class:`SemgrepFinding` records.
 """
 
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.corpus.package import Package
+from repro.semgrepx.pattern import TreeIndex, parse_python
 
 
 @dataclass(frozen=True)
@@ -34,10 +37,23 @@ class ParsedFile:
     path: str
     source: str
     tree: Optional[ast.AST]
+    _index: Optional[TreeIndex] = field(default=None, repr=False, compare=False)
 
     @property
     def parse_failed(self) -> bool:
         return self.tree is None
+
+    @property
+    def index(self) -> TreeIndex:
+        """The parsed tree's node index, built by one walk on first use."""
+        if self._index is None:
+            self._index = TreeIndex(self.tree)
+        return self._index
+
+    def __getstate__(self) -> dict:
+        # process shards receive prepared packages pickled; the index only
+        # regroups the tree's nodes, so it is rebuilt there, not shipped
+        return {**self.__dict__, "_index": None}
 
 
 @dataclass
@@ -48,6 +64,7 @@ class ScanTarget:
     files: list[ParsedFile] = field(default_factory=list)
     _haystack: str = ""
     _folded: Optional[str] = None
+    _parsed: Optional[list[ParsedFile]] = None
 
     @classmethod
     def from_files(cls, name: str, files: Iterable[tuple[str, str]]) -> "ScanTarget":
@@ -56,7 +73,7 @@ class ScanTarget:
         for path, source in files:
             tree: Optional[ast.AST]
             try:
-                tree = ast.parse(source)
+                tree = parse_python(source)
             except (SyntaxError, ValueError):
                 tree = None
             parsed.append(ParsedFile(path=path, source=source, tree=tree))
@@ -84,7 +101,10 @@ class ScanTarget:
 
     @property
     def parsed_files(self) -> list[ParsedFile]:
-        return [f for f in self.files if f.tree is not None]
+        """The files that parsed, listed once and shared by every rule."""
+        if self._parsed is None:
+            self._parsed = [f for f in self.files if f.tree is not None]
+        return self._parsed
 
     @property
     def text(self) -> str:

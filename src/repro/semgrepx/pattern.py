@@ -16,14 +16,19 @@ An expression pattern matches any expression node anywhere in the file; a
 statement pattern matches statements.  ``anchors()`` exposes the dotted call
 names and string literals a match necessarily requires, which the matcher
 uses to skip files that cannot possibly match.
+
+Matching runs over a :class:`TreeIndex`: one ``ast.walk`` of a parsed file
+groups its calls by callee, and a ``Call`` pattern with a concrete callee
+visits only the calls to that callee.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from repro.semgrepx.errors import SemgrepPatternError
 
@@ -31,6 +36,19 @@ _METAVAR_RE = re.compile(r"\$([A-Z][A-Z0-9_]*)")
 _MV_PREFIX = "__semgrep_mv_"
 _ELLIPSIS_NAME = "__semgrep_ellipsis__"
 _ELLIPSIS_KWARGS = "__semgrep_ellipsis_kwargs__"
+
+# CPython 3.11's AST converter keeps its recursion-depth counter in
+# process-wide state, and a garbage collection in the middle of a conversion
+# can switch threads, so two threads inside ast.parse at once can fail with
+# "SystemError: AST constructor recursion depth mismatch".  The lock is
+# process-wide because the state it guards is.
+_AST_PARSE_LOCK = threading.Lock()
+
+
+def parse_python(source: str) -> ast.Module:
+    """``ast.parse`` serialised across threads (see ``_AST_PARSE_LOCK``)."""
+    with _AST_PARSE_LOCK:
+        return ast.parse(source)
 
 
 def _encode_pattern_text(text: str) -> str:
@@ -62,6 +80,47 @@ def _is_ellipsis(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and node.value is Ellipsis
 
 
+def _callee_name(func: ast.AST) -> Optional[str]:
+    """The last name segment of a call's callee: ``f`` or ``post`` of ``requests.post``."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+class TreeIndex:
+    """The nodes of one parsed file, grouped by one ``ast.walk``.
+
+    ``expressions`` holds every expression node, ``calls_by_callee`` the
+    ``Call`` nodes by :func:`_callee_name`, and ``blocks`` every statement
+    list (module and function bodies, ``else``/``finally`` branches).  Every
+    list keeps ``ast.walk`` order, so a pattern that scans only the group its
+    root can match finds the same matches, in the same order, as a walk of
+    the tree.
+    """
+
+    __slots__ = ("expressions", "calls_by_callee", "blocks")
+
+    def __init__(self, tree: ast.AST) -> None:
+        self.expressions: list[ast.expr] = []
+        self.calls_by_callee: dict[str, list[ast.expr]] = {}
+        self.blocks: list[list[ast.stmt]] = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.expr):
+                self.expressions.append(node)
+                if type(node) is ast.Call:
+                    callee = _callee_name(node.func)
+                    if callee is not None:
+                        self.calls_by_callee.setdefault(callee, []).append(node)
+                continue
+            # no expression node holds a statement list
+            for field_name in ("body", "orelse", "finalbody"):
+                block = getattr(node, field_name, None)
+                if isinstance(block, list) and block and isinstance(block[0], ast.stmt):
+                    self.blocks.append(block)
+
+
 @dataclass
 class MatchResult:
     """A successful pattern match with its metavariable bindings."""
@@ -88,14 +147,14 @@ class Pattern:
     # -- parsing -----------------------------------------------------------------
     def _parse(self, encoded: str) -> list[ast.stmt]:
         try:
-            module = ast.parse(encoded)
+            module = parse_python(encoded)
         except SyntaxError as first_error:
             # Retry with Semgrep's "trailing ellipsis after keyword arguments"
             # form rewritten into a parseable wildcard.
             retry = _encode_trailing_call_ellipsis(encoded)
             if retry != encoded:
                 try:
-                    module = ast.parse(retry)
+                    module = parse_python(retry)
                 except SyntaxError:
                     module = None
             else:
@@ -121,7 +180,8 @@ class Pattern:
         for root in self._nodes:
             for node in ast.walk(root):
                 if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    if len(node.value) >= 4:
+                    # "$URL" is a wildcard, not text the file must contain
+                    if len(node.value) >= 4 and not node.value.startswith(_MV_PREFIX):
                         found.add(node.value)
         return found
 
@@ -148,15 +208,18 @@ class Pattern:
         return found
 
     # -- matching ----------------------------------------------------------------------
-    def match_tree(self, tree: ast.AST, max_matches: int = 200) -> list[MatchResult]:
-        """Match this pattern against every candidate node of a parsed file."""
+    def match_tree(
+        self, tree: Union[ast.AST, TreeIndex], max_matches: int = 200
+    ) -> list[MatchResult]:
+        """Match this pattern against every candidate node of a parsed file.
+
+        ``tree`` is the file's :class:`TreeIndex`, or a bare tree to index.
+        """
+        index = tree if isinstance(tree, TreeIndex) else TreeIndex(tree)
         results: list[MatchResult] = []
-        pattern_root = self._nodes[0]
         if self.is_expression:
-            pattern_expr = pattern_root.value  # type: ignore[attr-defined]
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.expr):
-                    continue
+            pattern_expr = self._nodes[0].value  # type: ignore[attr-defined]
+            for node in self._candidates(pattern_expr, index):
                 bindings: dict[str, str] = {}
                 if self._match_node(pattern_expr, node, bindings):
                     results.append(MatchResult(bindings=bindings, node=node))
@@ -165,7 +228,7 @@ class Pattern:
         else:
             # statement (or multi-statement) pattern: try to match the sequence
             # starting at every statement position of every block.
-            for block in _iter_statement_blocks(tree):
+            for block in index.blocks:
                 for start in range(len(block)):
                     bindings = {}
                     if self._match_statements(self._nodes, block[start:], bindings):
@@ -174,8 +237,21 @@ class Pattern:
                             return results
         return results
 
-    def matches(self, tree: ast.AST) -> bool:
+    def matches(self, tree: Union[ast.AST, TreeIndex]) -> bool:
         return bool(self.match_tree(tree, max_matches=1))
+
+    @staticmethod
+    def _candidates(root: ast.expr, index: TreeIndex) -> list[ast.expr]:
+        """The nodes of ``index`` that ``_match_node(root, ...)`` may accept.
+
+        A ``Call`` with a concrete callee can match only calls to that
+        callee; every other root is tried against every expression.
+        """
+        if isinstance(root, ast.Call) and _is_metavar(root.func) is None:
+            callee = _callee_name(root.func)
+            if callee is not None:
+                return index.calls_by_callee.get(callee, [])
+        return index.expressions
 
     # -- node-level matching --------------------------------------------------------------
     def _match_statements(self, pattern_stmts: list[ast.stmt], target_stmts: list[ast.stmt],
@@ -270,15 +346,14 @@ class Pattern:
             return False
         # every pattern keyword must appear in the target (extra target kwargs allowed)
         for pattern_kw in keywords:
-            matched = False
             for target_kw in target.keywords:
-                if pattern_kw.arg == target_kw.arg and self._match_node(
-                    pattern_kw.value, target_kw.value, dict(bindings)
-                ):
-                    self._match_node(pattern_kw.value, target_kw.value, bindings)
-                    matched = True
+                if pattern_kw.arg != target_kw.arg:
+                    continue
+                trial = dict(bindings)
+                if self._match_node(pattern_kw.value, target_kw.value, trial):
+                    bindings.update(trial)
                     break
-            if not matched:
+            else:
                 return False
         return True
 
@@ -361,12 +436,3 @@ def _dotted_name(node: ast.AST) -> str:
         parts.append(current.id)
         return ".".join(reversed(parts))
     return ""
-
-
-def _iter_statement_blocks(tree: ast.AST):
-    """Yield every list of statements (module body, function bodies, ...)."""
-    for node in ast.walk(tree):
-        for field_name in ("body", "orelse", "finalbody", "handlers"):
-            block = getattr(node, field_name, None)
-            if isinstance(block, list) and block and isinstance(block[0], ast.stmt):
-                yield block

@@ -16,6 +16,7 @@ from repro.semgrepx import (
     load_rules_yaml,
     try_compile,
 )
+from repro.scanserve.index import RuleIndex
 
 CODE = '''
 import os
@@ -92,6 +93,24 @@ def test_invalid_pattern_raises():
 def test_anchors_provide_prefilter_terms():
     anchors = Pattern("requests.post($URL, ...)").anchors()
     assert "requests" in anchors or "post" in anchors
+
+
+def test_string_metavariable_is_not_an_anchor():
+    assert Pattern('$F("$URL")').anchors() == set()
+    assert Pattern('os.system("$CMD")').anchors() == {"os", "system"}
+    ruleset = compile_yaml("""
+rules:
+  - id: any-call-with-url
+    languages: [python]
+    message: call with a string argument
+    pattern: $F("$URL")
+""")
+    source = 'import requests\nrequests.get("http://x")\n'
+    scan = ScanTarget.from_files("demo", [("demo.py", source)])
+    findings = ruleset.match_target(scan)
+    assert [(f.rule_id, f.line) for f in findings] == [("any-call-with-url", 2)]
+    assert dict(findings[0].metavariables)["URL"] == "http://x"
+    assert RuleIndex(semgrep=ruleset).match_semgrep(scan) == findings
 
 
 # -- rule schema and loader ------------------------------------------------------------
