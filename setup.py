@@ -15,5 +15,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
+    install_requires=["numpy", "PyYAML"],
     entry_points={"console_scripts": ["rulellm = repro.cli:main"]},
 )

@@ -402,7 +402,10 @@ class GenerationOrchestrator:
         fleet_span,
     ) -> FleetResult:
         started = time.perf_counter()
-        shards = self.plan.partition(corpus, self.config, self.embedder)
+        with get_tracer().span(
+            "fleet.partition", plan=self.plan.name, packages=len(corpus)
+        ):
+            shards = self.plan.partition(corpus, self.config, self.embedder)
         fleet_span.set_attr("shards", len(shards))
         label = label or self.label
 

@@ -112,27 +112,37 @@ class KMeans:
     # -- internals ---------------------------------------------------------------
     @staticmethod
     def _pairwise_sq_distances(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-        # Euclidean distance in vector space, as in the paper.
-        diff = data[:, None, :] - centroids[None, :, :]
-        return np.einsum("ijk,ijk->ij", diff, diff)
+        # Euclidean distance in vector space, as in the paper.  One centroid
+        # at a time keeps the temporary at n x d rather than n x k x d
+        # (1.36 GB at paper scale), with the same per-pair sums.
+        distances = np.empty((data.shape[0], centroids.shape[0]))
+        for column, centroid in enumerate(centroids):
+            distances[:, column] = KMeans._sq_distances(data, centroid)
+        return distances
+
+    @staticmethod
+    def _sq_distances(data: np.ndarray, point: np.ndarray) -> np.ndarray:
+        diff = data - point
+        return np.einsum("ik,ik->i", diff, diff)
 
     @staticmethod
     def _init_centroids(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         samples = data.shape[0]
         first = int(rng.integers(samples))
         chosen = [first]
+        # squared distance from each point to its nearest chosen centroid
+        closest = KMeans._sq_distances(data, data[first])
         for _ in range(1, k):
-            current = data[chosen]
-            distances = KMeans._pairwise_sq_distances(data, current).min(axis=1)
-            total = distances.sum()
+            total = closest.sum()
             if total <= 0:
                 remaining = [i for i in range(samples) if i not in chosen]
                 if not remaining:
                     break
-                chosen.append(int(rng.choice(remaining)))
-                continue
-            probabilities = distances / total
-            chosen.append(int(rng.choice(samples, p=probabilities)))
+                pick = int(rng.choice(remaining))
+            else:
+                pick = int(rng.choice(samples, p=closest / total))
+            chosen.append(pick)
+            np.minimum(closest, KMeans._sq_distances(data, data[pick]), out=closest)
         return data[chosen].astype(np.float64).copy()
 
 

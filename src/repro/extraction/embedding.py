@@ -68,58 +68,94 @@ def tokenize_code(text: str) -> list[str]:
 
 
 class CodeEmbedder:
-    """Deterministic hashing embedder for source code."""
+    """Deterministic hashing embedder for source code.
+
+    The embedder holds only its config.  Each call embeds through a fresh
+    :class:`_EmbeddingPass`, whose memo is dropped when the call returns.
+    """
 
     def __init__(self, config: EmbeddingConfig | None = None) -> None:
         self.config = config or EmbeddingConfig()
 
-    # -- single text ---------------------------------------------------------
     def embed(self, text: str) -> np.ndarray:
         """Embed one code segment into a unit-norm vector."""
-        dims = self.config.dimensions
-        vector = np.zeros(dims, dtype=np.float64)
-        tokens = tokenize_code(text)
-        if self.config.lowercase:
-            tokens = [token.lower() for token in tokens]
-        if not tokens:
-            return vector
-        for token in tokens:
-            vector[stable_hash(token, bits=32) % dims] += 1.0
-        if self.config.use_bigrams:
-            for first, second in zip(tokens, tokens[1:]):
-                vector[stable_hash(first + "\x00" + second, bits=32) % dims] += 0.5
-        norm = np.linalg.norm(vector)
-        if norm > 0:
-            vector /= norm
-        return vector
-
-    # -- segments and packages ---------------------------------------------------
-    def embed_segments(self, text: str) -> np.ndarray:
-        """Embed each fixed-length segment of ``text`` (matrix of row vectors)."""
-        segments = split_segments(text, self.config.segment_length) or [""]
-        return np.vstack([self.embed(segment) for segment in segments])
+        return _EmbeddingPass(self.config).segment(text)
 
     def embed_document(self, text: str) -> np.ndarray:
         """Embed a whole document as the mean of its segment vectors.
 
         The paper concatenates segment vectors; clustering, however, needs a
-        fixed dimensionality, so we aggregate by averaging (documented
-        substitution in DESIGN.md).  Averaging keeps near-duplicate documents
-        near-identical, which is the property K-Means grouping depends on.
+        fixed dimensionality, so we aggregate by averaging.  Averaging keeps
+        near-duplicate documents near-identical, which is the property
+        K-Means grouping depends on.
         """
-        segment_matrix = self.embed_segments(text)
-        vector = segment_matrix.mean(axis=0)
+        return _EmbeddingPass(self.config).document(text)
+
+    def embed_packages(self, packages: list[Package]) -> np.ndarray:
+        """Embed the concatenated source of each package (matrix of rows).
+
+        One pass serves the whole call, so a segment or token that many
+        packages share is tokenised or hashed once.
+        """
+        if not packages:
+            return np.zeros((0, self.config.dimensions))
+        embedding = _EmbeddingPass(self.config)
+        return np.vstack(
+            [embedding.document(package.source_text or package.all_text) for package in packages]
+        )
+
+
+class _EmbeddingPass:
+    """The memo of one embedding call.
+
+    ``buckets`` maps each distinct token or bigram key to its bucket, so
+    ``stable_hash`` runs once per key; ``segments`` maps each distinct
+    segment to its vector, so ``tokenize_code`` runs once per segment.
+    Bucket counts are small integers plus halves, which float64 sums
+    exactly, so ``np.bincount`` gives the same vector as adding each
+    occurrence in turn.
+    """
+
+    def __init__(self, config: EmbeddingConfig) -> None:
+        self.config = config
+        self.buckets: dict[str, int] = {}
+        self.segments: dict[str, np.ndarray] = {}
+
+    def document(self, text: str) -> np.ndarray:
+        segments = split_segments(text, self.config.segment_length) or [""]
+        vector = np.vstack([self.segment(segment) for segment in segments]).mean(axis=0)
         norm = np.linalg.norm(vector)
         if norm > 0:
             vector = vector / norm
         return vector
 
-    def embed_package(self, package: Package) -> np.ndarray:
-        """Embed the concatenated source of one package."""
-        return self.embed_document(package.source_text or package.all_text)
+    def segment(self, text: str) -> np.ndarray:
+        vector = self.segments.get(text)
+        if vector is None:
+            vector = self.segments[text] = self._embed_segment(text)
+        return vector
 
-    def embed_packages(self, packages: list[Package]) -> np.ndarray:
-        """Embed several packages into a matrix of row vectors."""
-        if not packages:
-            return np.zeros((0, self.config.dimensions))
-        return np.vstack([self.embed_package(package) for package in packages])
+    def _embed_segment(self, text: str) -> np.ndarray:
+        dims = self.config.dimensions
+        tokens = tokenize_code(text)
+        if self.config.lowercase:
+            tokens = [token.lower() for token in tokens]
+        if not tokens:
+            return np.zeros(dims, dtype=np.float64)
+        vector = np.bincount(self._buckets(tokens), minlength=dims).astype(np.float64)
+        if self.config.use_bigrams:
+            bigrams = [first + "\x00" + second for first, second in zip(tokens, tokens[1:])]
+            vector += 0.5 * np.bincount(self._buckets(bigrams), minlength=dims)
+        vector /= np.linalg.norm(vector)
+        return vector
+
+    def _buckets(self, keys: list[str]) -> list[int]:
+        memo = self.buckets
+        dims = self.config.dimensions
+        buckets = []
+        for key in keys:
+            bucket = memo.get(key)
+            if bucket is None:
+                bucket = memo[key] = stable_hash(key, bits=32) % dims
+            buckets.append(bucket)
+        return buckets

@@ -140,8 +140,14 @@ class TestFleetTracePropagation:
         generate_spans = [s for s in trace if s["name"] == "session.generate"]
         assert len(generate_spans) == fleet.shard_count
         assert all(s["parent_id"] in shard_ids for s in generate_spans)
+        # the cluster plan's one clustering pass runs before any shard
+        (partition_span,) = [s for s in trace if s["name"] == "fleet.partition"]
+        assert partition_span["parent_id"] == fleet_span["span_id"]
+        assert partition_span["attrs"] == {
+            "plan": "cluster", "packages": len(malware_packages),
+        }
         assert {s["name"] for s in trace} >= {
-            "fleet.run", "fleet.shard", "session.generate",
+            "fleet.run", "fleet.partition", "fleet.shard", "session.generate",
             "stage.cluster", "stage.craft", "stage.refine", "stage.align",
         }
         assert _tree_is_connected(trace)
