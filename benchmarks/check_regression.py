@@ -10,7 +10,12 @@ allowed fraction.  Guarded lanes:
 * the ``obs_overhead`` section when the fresh report carries one: the
   disabled-tracer observability seams may cost at most
   ``--max-obs-overhead`` of a 1-shard batch (no baseline needed — the
-  ceiling is absolute, so older baselines without the section still work).
+  ceiling is absolute, so older baselines without the section still work);
+* the fresh report's service ``shards`` when it ran on ``cpu_count >= 2``:
+  the best process-mode point must reach :data:`MIN_PROCESS_SHARD_RATIO` of
+  the 1-shard in-process packages/sec (again absolute, within one run).
+  On one core process workers time-slice a single CPU, so there is nothing
+  to check.
 
 The guarded metric is the indexed/naive **speedup** of each lane, not raw
 packages/sec: the baseline is committed from one machine and the fresh
@@ -32,6 +37,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+#: On >= 2 cores, the best process-shard point must reach this fraction of
+#: the 1-shard in-process throughput measured in the same run.
+MIN_PROCESS_SHARD_RATIO = 0.9
 
 
 def _registry_points(report: dict) -> dict[int, dict]:
@@ -110,7 +119,39 @@ def check(
                 f"obs_overhead: disabled-tracer seams cost {fraction:.2%} "
                 f"of a 1-shard batch > ceiling {max_obs_overhead:.0%}"
             )
+    failures.extend(_check_process_shards(fresh))
     return failures
+
+
+def _check_process_shards(fresh: dict) -> list[str]:
+    """The process lane must keep up with in-process scanning on >= 2 cores."""
+    cpu_count = int(fresh.get("cpu_count") or 1)
+    points = fresh.get("shards") or []
+    if cpu_count < 2 or not points:
+        return []
+    inproc = [p for p in points if p["shards"] == 1 and p["mode"] == "inprocess"]
+    process = [p["packages_per_second"] for p in points if p["mode"] == "process"]
+    if not inproc or not process:
+        return [
+            f"shards: on {cpu_count} cores the report needs a 1-shard "
+            f"in-process point and a process-mode point, got "
+            f"{[(p['shards'], p['mode']) for p in points]}"
+        ]
+    base = float(inproc[0]["packages_per_second"])
+    best = float(max(process))
+    floor = base * MIN_PROCESS_SHARD_RATIO
+    verdict = "ok" if best >= floor else "REGRESSED"
+    print(
+        f"shards: best process {best:.0f} pkg/s vs 1-shard in-process "
+        f"{base:.0f} pkg/s on {cpu_count} cores (floor {floor:.0f}) {verdict}"
+    )
+    if best < floor:
+        return [
+            f"shards: best process-mode {best:.0f} pkg/s < "
+            f"{MIN_PROCESS_SHARD_RATIO:.0%} of 1-shard in-process {base:.0f} pkg/s "
+            f"on {cpu_count} cores"
+        ]
+    return []
 
 
 def main(argv: list[str] | None = None) -> int:

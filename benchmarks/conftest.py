@@ -27,6 +27,9 @@ from repro.corpus.dataset import DatasetConfig
 from repro.evaluation.experiments import ExperimentSuite
 
 REPORT_DIR = Path(__file__).parent / "reports"
+#: Reports that a run regenerates but that must not overwrite a committed
+#: file (the throughput report, whose committed copy is CI's baseline).
+OUT_DIR = Path(__file__).parent / "out"
 
 
 def _bench_scale() -> float:

@@ -5,8 +5,12 @@ registry-sized YARA rule set (>= 100 rules — the pipeline's own rules plus
 synthetic registry rules mixing plain, ``nocase`` and regex strings, as real
 deployments do), indexed scanning is at least 5x faster than naive scanning
 while producing bit-for-bit identical detections.  Results (packages/sec for
-naive, indexed, and 1-4 service shards) are written to
-``benchmarks/reports/scan_throughput.json``.
+naive, indexed, and 1-4 service shards) are written to the gitignored
+``benchmarks/out/scan_throughput.json``.  ``benchmarks/check_regression.py``
+compares that report with the committed baseline
+``benchmarks/reports/scan_throughput.json`` and holds the timing claim that
+process shards keep up with in-process scanning, so this test asserts only
+what holds on any machine.
 
 The throughput lanes are YARA-only by design: naive YARA scanning is
 O(rules x packages) regex evaluation, which is exactly what the atom index
@@ -20,10 +24,10 @@ import json
 import os
 import time
 
-from conftest import REPORT_DIR, run_once
+from conftest import OUT_DIR, run_once
 
 from repro.evaluation.detector import RuleScanner, prepare_packages
-from repro.scanserve import AhoCorasick, RuleIndex, ScanService, ScanServiceConfig
+from repro.scanserve import PackedAutomaton, RuleIndex, ScanService, ScanServiceConfig
 from repro.utils.hashing import stable_hash
 from repro.yarax import compile_source
 
@@ -33,8 +37,8 @@ TARGET_RULE_COUNT = 200
 REGISTRY_SCALE_POINTS = (1000, 5000)
 MIN_SPEEDUP = 5.0
 
-#: Atom-vocabulary sizes for the lane-crossover sweep (substring vs
-#: dict-automaton vs packed); texts/sec per lane shows where each lane wins.
+#: Atom-vocabulary sizes for the lane-crossover sweep (substring vs joined
+#: vs DFA walk); texts/sec per lane shows where each lane wins.
 CROSSOVER_ATOM_SIZES = (64, 128, 256, 384, 512, 1024, 2048, 4096)
 CROSSOVER_TEXTS = 48
 
@@ -73,7 +77,7 @@ def _synthetic_registry_rules(count: int, start: int = 0) -> str:
     return "\n\n".join(sources)
 
 
-def test_bench_scan_throughput(benchmark, suite, report_dir):
+def test_bench_scan_throughput(benchmark, suite):
     def experiment():
         yara = suite.ruleset.compile_yara()
         filler = compile_source(
@@ -127,9 +131,9 @@ def test_bench_scan_throughput(benchmark, suite, report_dir):
         # service lanes: 1-4 shards (includes per-package preparation cost).
         # Chunked dispatch ships one contiguous batch per worker and fork
         # workers inherit the publish-time packed index, so the process
-        # lane's fixed overhead is per batch, not per package — but on a
-        # single-core runner process workers still time-slice one CPU, so
-        # the win is only asserted when the hardware can show it.
+        # lane's fixed overhead is per batch, not per package.  Whether
+        # process shards keep up with in-process is a timing claim, checked
+        # on >= 2 cores by check_regression.py; here only detections count.
         cpu_count = os.cpu_count() or 1
         report["cpu_count"] = cpu_count
         for shards in (1, 2, 4):
@@ -150,17 +154,6 @@ def test_bench_scan_throughput(benchmark, suite, report_dir):
             assert [(d.package, d.yara_rules) for d in batch.detections] == [
                 (d.package, d.yara_rules) for d in naive.detections
             ]
-        if cpu_count >= 2:
-            inproc = report["shards"][0]["packages_per_second"]
-            best_process = max(
-                point["packages_per_second"]
-                for point in report["shards"]
-                if point["mode"] == "process"
-            )
-            assert best_process >= inproc * 0.9, (
-                f"process shards ({best_process} pkg/s) should at least match "
-                f"in-process ({inproc} pkg/s) on {cpu_count} cores"
-            )
 
         # observability tax: scan_batch now crosses repro.obs seams (spans
         # around batch/dispatch/chunk, registry counter and histogram
@@ -299,29 +292,28 @@ def test_bench_scan_throughput(benchmark, suite, report_dir):
                 }
             )
 
-        # lane-crossover sweep: texts/sec for the per-atom substring scan,
-        # the dict-of-dicts automaton walk, the packed single-text walk, and
-        # the packed batch lane, at growing atom-vocabulary sizes.  This is
-        # the measurement behind the default ``automaton_threshold``.
+        # lane-crossover sweep: texts/sec for each matcher lane (per-atom
+        # substring scan, joined guard-prefix pass, per-text DFA walk) over
+        # one batch, at growing atom-vocabulary sizes.  This is the
+        # measurement behind AUTOMATON_THRESHOLD and the joined lane's limits.
         vocabulary = biggest_index._automaton.words
-        folded_texts = [p.folded_text for p in prepared[:CROSSOVER_TEXTS]]
+        folded = [p.folded_bytes for p in prepared[:CROSSOVER_TEXTS]]
         report["crossover"] = []
         for size in CROSSOVER_ATOM_SIZES:
             if size > len(vocabulary):
                 break
-            lanes = AhoCorasick(vocabulary[:size])
+            lanes = PackedAutomaton(vocabulary[:size])
             point = {"atoms": size}
             for lane_name, scan in (
-                ("substring", lambda: [lanes.find_substring(t) for t in folded_texts]),
-                ("dict_automaton", lambda: [lanes.find_automaton(t) for t in folded_texts]),
-                ("packed", lambda: [lanes.packed.find(t) for t in folded_texts]),
-                ("packed_batch", lambda: lanes.find_batch(folded_texts)),
+                ("substring", lanes._find_substring),
+                ("joined", lanes._find_joined),
+                ("walk", lanes._find_walk),
             ):
                 start = time.perf_counter()
-                hits = scan()
+                hits = scan(folded)
                 seconds = time.perf_counter() - start
                 point[lane_name] = round(
-                    len(folded_texts) / seconds if seconds > 0 else 0.0, 1
+                    len(folded) / seconds if seconds > 0 else 0.0, 1
                 )
                 if lane_name == "substring":
                     expected = hits
@@ -331,7 +323,8 @@ def test_bench_scan_throughput(benchmark, suite, report_dir):
         return report
 
     report = run_once(benchmark, experiment)
-    (REPORT_DIR / "scan_throughput.json").write_text(
+    OUT_DIR.mkdir(parents=True, exist_ok=True)
+    (OUT_DIR / "scan_throughput.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     print("\n" + json.dumps(report, indent=2, sort_keys=True))

@@ -7,13 +7,14 @@ Aho–Corasick prefilter, registry malware pipelines) reach scale:
 * :mod:`repro.scanserve.atoms` — literal-atom extraction from compiled
   YARA strings and Semgrep pattern anchors, with a provable "rule fires ⇒
   atom present" guarantee;
-* :mod:`repro.scanserve.index` — an Aho–Corasick automaton over those atoms
-  that narrows scanning to a small candidate-rule set (atom-less rules take
-  an unconditional fallback lane, so detections stay bit-for-bit identical
-  to naive scanning);
-* :mod:`repro.scanserve.packed` — the automaton's hot path: publish-time
-  compiled flat byte-level goto/fail tables (:class:`PackedAutomaton`) with
-  batch scanning and ``to_bytes``/``from_bytes`` serialization;
+* :mod:`repro.scanserve.index` — :class:`RuleIndex`, which narrows scanning
+  to the candidate rules whose atoms occur (atom-less rules take an
+  unconditional fallback lane, so detections stay bit-for-bit identical to
+  naive scanning);
+* :mod:`repro.scanserve.packed` — :class:`PackedAutomaton`, the atom matcher:
+  one batch entry point whose lane (per-atom substring, joined guard-prefix
+  pass or dense DFA walk) is fixed by the vocabulary, over publish-time
+  compiled byte-level tables with ``to_bytes``/``from_bytes`` serialization;
 * :mod:`repro.scanserve.registry` — versioned rule sets with atomic
   hot-swap and rollback;
 * :mod:`repro.scanserve.cache` — a content-hash result cache keyed on
@@ -37,17 +38,11 @@ from repro.scanserve.atoms import (
     yara_rule_atoms,
 )
 from repro.scanserve.cache import CacheStats, DiskScanResultCache, ScanResultCache
-from repro.scanserve.index import (
-    AUTOMATON_LANE,
-    AUTOMATON_THRESHOLD,
-    SUBSTRING_LANE,
-    AhoCorasick,
-    IndexStats,
-    RuleIndex,
-)
+from repro.scanserve.index import AUTOMATON_LANE, IndexStats, RuleIndex
 from repro.scanserve.packed import (
+    AUTOMATON_THRESHOLD,
     BATCH_GUARD_LIMIT,
-    DENSE_CELL_BUDGET,
+    SUBSTRING_LANE,
     PackedAutomaton,
 )
 from repro.scanserve.registry import (
@@ -85,11 +80,9 @@ __all__ = [
     "AUTOMATON_LANE",
     "AUTOMATON_THRESHOLD",
     "SUBSTRING_LANE",
-    "AhoCorasick",
     "IndexStats",
     "RuleIndex",
     "BATCH_GUARD_LIMIT",
-    "DENSE_CELL_BUDGET",
     "PackedAutomaton",
     "PublishEvent",
     "RulesetRegistry",

@@ -1,34 +1,25 @@
 """Atom-prefilter rule index.
 
-:class:`AhoCorasick` is the atom vocabulary's multi-pattern matcher; one
-pass over the haystack reports every atom that occurs.  :class:`RuleIndex`
-maps those hits back to candidate rules and fully evaluates *only* the
-candidates (plus the fallback lane of rules that exposed no atoms), which
-keeps indexed scanning bit-for-bit identical to naive scanning while
-skipping the vast majority of rule evaluations.
+:class:`RuleIndex` extracts literal atoms from a compiled rule set, finds
+which atoms occur in a scanned text with one
+:class:`repro.scanserve.packed.PackedAutomaton` pass, maps those hits back to
+candidate rules and fully evaluates *only* the candidates (plus the fallback
+lane of rules that exposed no atoms).  That keeps indexed scanning
+bit-for-bit identical to naive scanning while skipping the vast majority of
+rule evaluations.
 
-The hot path is the packed byte-level automaton
-(:class:`repro.scanserve.packed.PackedAutomaton`): flat ``array('i')``
-goto/fail tables compiled once at construction (i.e. at registry publish
-time), walked over ``bytes`` with no per-position dict lookups, and
-serializable so shard workers attach without recompiling.  The historical
-dict-of-dicts walk survives as :meth:`AhoCorasick.find_automaton` — the
-readable reference the property tests hold the packed tables to.
-
-Lane selection: below ``automaton_threshold`` atoms a per-atom C-speed
-substring scan (``atom in text``) still beats walking any pure-Python
-automaton, so :meth:`AhoCorasick.find` picks the strategy by vocabulary
-size.  Batch scans (:meth:`AhoCorasick.find_batch`) amortise setup across
-the whole batch and pick their own lane internally.  All lanes return
-identical hit sets (property-tested).
+The matcher is compiled once at construction (i.e. at registry publish time)
+and picks its lane from the vocabulary alone: per-atom substring scans below
+:data:`~repro.scanserve.packed.AUTOMATON_THRESHOLD` atoms, the joined
+guard-prefix pass or the dense DFA walk above it.  The whole index pickles,
+so shard workers attach to the published tables instead of recompiling them.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Union
+from typing import List, Optional, Sequence, Set, Union
 
 from repro.scanserve.atoms import (
     DEFAULT_MIN_ATOM_LENGTH,
@@ -36,152 +27,18 @@ from repro.scanserve.atoms import (
     semgrep_rule_atoms,
     yara_rule_atoms,
 )
-from repro.scanserve.packed import PackedAutomaton
+from repro.scanserve.packed import SUBSTRING_LANE, PackedAutomaton
 from repro.semgrepx.compiler import CompiledSemgrepRule, CompiledSemgrepRuleSet
 from repro.semgrepx.matcher import ScanTarget, SemgrepFinding
 from repro.yarax import ast_nodes as yast
 from repro.yarax.compiler import CompiledRule, CompiledRuleSet
 from repro.yarax.matcher import CompiledString, ConditionEvaluator, RuleMatch
 
-# below this many atoms, per-atom ``str.find`` (C speed) beats even the
-# packed automaton walk for a *single* text; above it the O(n) automaton
-# wins.  Re-tuned for the packed byte-level tables against the crossover
-# sweep in ``benchmarks/test_bench_scan_throughput.py``: the dict walk
-# crossed over near ~1300 atoms, the packed walk crosses near ~190.  The
-# crossover is hardware-dependent, so it is a tunable: see
-# ``ScanServiceConfig.automaton_threshold`` / ``RuleIndex``.
-AUTOMATON_THRESHOLD = 192
-
-#: Lane names reported by :attr:`AhoCorasick.lane` / :meth:`RuleIndex.stats`.
+#: Lane label reported by :attr:`RuleIndex.lane`, the ``lane`` span attribute
+#: and ``ServiceStats.lanes`` for the matcher's joined and walk lanes; below
+#: :data:`~repro.scanserve.packed.AUTOMATON_THRESHOLD` atoms the label is
+#: :data:`~repro.scanserve.packed.SUBSTRING_LANE`.
 AUTOMATON_LANE = "automaton"
-SUBSTRING_LANE = "substring"
-
-
-class AhoCorasick:
-    """Multi-pattern literal matcher.
-
-    The public contract is unchanged from the dict-of-dicts original:
-    ``find(text)`` returns the ids of every word occurring in ``text``.
-    Internally the automaton lane now runs on packed byte-level tables;
-    the dict trie is only materialised on demand for
-    :meth:`find_automaton`, the reference implementation kept for
-    property-testing and debugging.
-    """
-
-    def __init__(
-        self, words: Iterable[str], automaton_threshold: Optional[int] = None
-    ) -> None:
-        self.automaton_threshold = (
-            AUTOMATON_THRESHOLD if automaton_threshold is None else automaton_threshold
-        )
-        self.words: list[str] = []
-        seen: dict[str, int] = {}
-        for word in words:
-            if not word:
-                raise ValueError("cannot index an empty atom")
-            if word not in seen:
-                seen[word] = len(self.words)
-                self.words.append(word)
-        self.packed = PackedAutomaton(self.words)
-        # dict trie (reference lane) is built lazily — the packed tables
-        # carry the hot path and the service never needs the dict form
-        self._trie: Optional[tuple[list[dict[str, int]], list[int], list[list[int]]]] = None
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    @property
-    def state_count(self) -> int:
-        return self.packed.state_count
-
-    # -- reference dict trie ------------------------------------------------------
-    def _dict_trie(self) -> tuple[list[dict[str, int]], list[int], list[list[int]]]:
-        if self._trie is None:
-            goto: list[dict[str, int]] = [{}]
-            output: list[list[int]] = [[]]
-            for word_id, word in enumerate(self.words):
-                state = 0
-                for char in word:
-                    nxt = goto[state].get(char)
-                    if nxt is None:
-                        nxt = len(goto)
-                        goto[state][char] = nxt
-                        goto.append({})
-                        output.append([])
-                    state = nxt
-                output[state].append(word_id)
-            # BFS failure links; outputs are merged so a state reports every
-            # word ending at it (including proper suffixes)
-            fail: list[int] = [0] * len(goto)
-            queue: deque[int] = deque(goto[0].values())
-            while queue:
-                state = queue.popleft()
-                for char, nxt in goto[state].items():
-                    queue.append(nxt)
-                    fallback = fail[state]
-                    while fallback and char not in goto[fallback]:
-                        fallback = fail[fallback]
-                    fail[nxt] = goto[fallback].get(char, 0)
-                    if fail[nxt] == nxt:
-                        fail[nxt] = 0
-                    output[nxt].extend(output[fail[nxt]])
-            self._trie = (goto, fail, output)
-        return self._trie
-
-    # -- scanning ---------------------------------------------------------------
-    def find_automaton(self, text: str) -> set[int]:
-        """Reference dict-trie pass; same hit set as the packed tables."""
-        goto, fail, output = self._dict_trie()
-        hits: set[int] = set()
-        pending = len(self.words)
-        state = 0
-        for char in text:
-            while state and char not in goto[state]:
-                state = fail[state]
-            state = goto[state].get(char, 0)
-            if output[state]:
-                for word_id in output[state]:
-                    if word_id not in hits:
-                        hits.add(word_id)
-                        pending -= 1
-                if not pending:
-                    break  # every word already found
-        return hits
-
-    def find_substring(self, text: str) -> set[int]:
-        """Per-atom C-speed substring scan; same result as the automaton."""
-        return {i for i, word in enumerate(self.words) if word in text}
-
-    def find_packed(self, text: str) -> set[int]:
-        """Packed byte-level pass (the automaton lane's actual hot path)."""
-        return self.packed.find(text)
-
-    @property
-    def lane(self) -> str:
-        """Which scan strategy :meth:`find` uses for this vocabulary size."""
-        if len(self.words) >= self.automaton_threshold:
-            return AUTOMATON_LANE
-        return SUBSTRING_LANE
-
-    def find(self, text: str) -> set[int]:
-        if self.lane == AUTOMATON_LANE:
-            return self.packed.find(text)
-        return self.find_substring(text)
-
-    def find_batch(self, texts: Sequence[Union[str, bytes]]) -> List[Set[int]]:
-        """Per-text hit sets with batch-amortised setup.
-
-        Equivalent to ``[self.find(t) for t in texts]``; the packed
-        automaton picks the joined-substring or DFA-walk lane internally
-        by guard count, so this is the right call at *any* vocabulary
-        size.  Accepts pre-encoded ``bytes`` haystacks.
-        """
-        return self.packed.find_batch(texts)
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_trie"] = None  # reference trie is derived; rebuild on demand
-        return state
 
 
 class _LazyConditionEvaluator(ConditionEvaluator):
@@ -319,8 +176,7 @@ class IndexStats:
     atoms: int = 0
     automaton_states: int = 0
     lane: str = SUBSTRING_LANE
-    automaton_threshold: int = AUTOMATON_THRESHOLD
-    packed_mode: str = "dense"
+    packed_mode: str = "dense"  # the only table layout; kept for report readers
     packed_memory_bytes: int = 0
     batch_guards: int = 0
 
@@ -355,12 +211,10 @@ class RuleIndex:
         yara: Optional[CompiledRuleSet] = None,
         semgrep: Optional[CompiledSemgrepRuleSet] = None,
         min_atom_length: int = DEFAULT_MIN_ATOM_LENGTH,
-        automaton_threshold: Optional[int] = None,
     ) -> None:
         self.yara = yara
         self.semgrep = semgrep
         self.min_atom_length = min_atom_length
-        self.automaton_threshold = automaton_threshold
         self.rule_atoms: list[RuleAtoms] = []
 
         vocabulary: dict[str, int] = {}
@@ -418,9 +272,7 @@ class RuleIndex:
             register(atoms, "semgrep", position)
             self._semgrep_required.append(atoms.required_sets)
 
-        self._automaton = AhoCorasick(
-            vocabulary.keys(), automaton_threshold=automaton_threshold
-        )
+        self._automaton = PackedAutomaton(vocabulary.keys())
         self._postings = postings
         self._fallback_semgrep_set = frozenset(self._fallback_semgrep)
         # literal -> automaton word id, for gate checks: a gate literal that
@@ -438,7 +290,7 @@ class RuleIndex:
     def hits_batch(self, folded_texts: Sequence[Union[str, bytes]]) -> List[Set[int]]:
         """Atom hit sets for a batch of already-casefolded texts.
 
-        One batch-amortised pass (see :meth:`AhoCorasick.find_batch`); feed
+        One batch-amortised pass (see :meth:`PackedAutomaton.find_batch`); feed
         the per-text sets back into the scanning entry points as ``hits=``.
         Accepts pre-encoded UTF-8 ``bytes`` haystacks.
         """
@@ -466,20 +318,6 @@ class RuleIndex:
             hits = self._automaton.find(text.casefold() if folded is None else folded)
         rules = self.yara.rules
         return [rules[i] for i in self._positions(hits, "yara", self._fallback_yara)]
-
-    def candidates_batch(self, folded_texts: Sequence[str]) -> list[list[CompiledRule]]:
-        """Per-text YARA candidate lists for a whole batch of folded texts.
-
-        Equivalent to calling :meth:`candidate_yara_rules` per text, with
-        the atom pass amortised across the batch.
-        """
-        if self.yara is None:
-            return [[] for _ in folded_texts]
-        rules = self.yara.rules
-        return [
-            [rules[i] for i in self._positions(hits, "yara", self._fallback_yara)]
-            for hits in self.hits_batch(folded_texts)
-        ]
 
     def candidate_semgrep_rules(
         self,
@@ -651,25 +489,26 @@ class RuleIndex:
     # -- introspection ------------------------------------------------------------
     @property
     def lane(self) -> str:
-        """Which atom-scan lane this index uses (fixed per vocabulary)."""
-        return self._automaton.lane
+        """The atom pass's label, fixed per vocabulary: ``substring`` or
+        ``automaton`` (the matcher's joined and walk lanes)."""
+        if self._automaton.lane == SUBSTRING_LANE:
+            return SUBSTRING_LANE
+        return AUTOMATON_LANE
 
     def stats(self) -> IndexStats:
         yara_total = len(self.yara.rules) if self.yara is not None else 0
         semgrep_total = len(self.semgrep.rules) if self.semgrep is not None else 0
-        packed = self._automaton.packed
+        automaton = self._automaton
         return IndexStats(
             yara_rules=yara_total,
             yara_indexed=yara_total - len(self._fallback_yara),
             semgrep_rules=semgrep_total,
             semgrep_indexed=semgrep_total - len(self._fallback_semgrep),
-            atoms=len(self._automaton),
-            automaton_states=self._automaton.state_count,
-            lane=self._automaton.lane,
-            automaton_threshold=self._automaton.automaton_threshold,
-            packed_mode=packed.mode,
-            packed_memory_bytes=packed.memory_bytes,
-            batch_guards=packed.guard_count,
+            atoms=len(automaton),
+            automaton_states=automaton.state_count,
+            lane=self.lane,
+            packed_memory_bytes=automaton.memory_bytes,
+            batch_guards=automaton.guard_count,
         )
 
     def fallback_reasons(self) -> dict[str, str]:

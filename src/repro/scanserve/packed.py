@@ -1,46 +1,46 @@
-"""Packed byte-level Aho–Corasick automaton.
+"""The rule index's literal-atom matcher.
 
-:class:`PackedAutomaton` compiles the atom vocabulary into flat packed
-tables and scans haystacks as ``bytes`` with no per-position dict lookups.
-It is the hot-path replacement for the dict-of-dicts walk in
-:class:`repro.scanserve.index.AhoCorasick`, which stays as the readable
-reference implementation (and the property-test oracle).
+:class:`PackedAutomaton` reports, for each text of a batch, the ids of every
+vocabulary word occurring in it (plain substring semantics).  It runs one of
+three lanes, fixed at construction from the vocabulary alone:
 
-Two table layouts, chosen automatically by size:
+``substring``
+    Fewer than :data:`AUTOMATON_THRESHOLD` words: one C-speed ``word in
+    text`` per word beats walking any pure-Python automaton.
 
-``dense``
-    The goto/fail trie is expanded into a full DFA over a *compressed*
-    alphabet (only bytes that occur in some word get a symbol; every other
-    byte maps to symbol 0, which always leads back to the root).  State ids
-    are stored pre-multiplied by the alphabet size, so the entire inner loop
-    is ``state = delta[state + symbol]`` on one flat ``array('i')``.  Output
-    states are renumbered to the *end* of the id space, so "did a word end
-    here" is a single ``state >= boundary`` comparison instead of a lookup.
+``joined``
+    While the vocabulary groups into at most :data:`BATCH_GUARD_LIMIT` guard
+    prefixes and holds at most :data:`BATCH_WORD_LIMIT` words: the batch is
+    joined with a separator byte no word contains, so each guard prefix
+    costs one C-speed ``bytes.find`` over the whole batch and a match can
+    never span two texts (it would have to contain the separator).  Each
+    guard hit is verified per member at that exact position.
 
-``sparse``
-    Above a cell budget the full DFA would be too large, so the goto trie is
-    packed into a classic base/check double array (first-fit allocation) and
-    the walk chases failure links explicitly.  Same hit sets, bounded memory.
+``walk``
+    Otherwise each text walks a dense DFA: the goto/fail trie expanded over a
+    *compressed* alphabet (only bytes that occur in some word get a symbol;
+    every other byte maps to symbol 0, which always leads back to the root).
+    State ids are stored pre-multiplied by the alphabet size, so the inner
+    loop is ``state = delta[state + symbol]`` on one flat ``array('i')``.
+    Output states are renumbered to the *end* of the id space, so "did a word
+    end here" is a single ``state >= boundary`` comparison.
 
-Both layouts serialize: :meth:`to_bytes` emits a self-describing blob,
+The tables serialize: :meth:`to_bytes` emits a self-describing blob,
 :meth:`from_bytes` restores it without re-running construction, and
 ``pickle`` round-trips via the same blob — that is what lets a process-pool
 shard worker or a durable registry attach to published tables instead of
-recompiling them.
+recompiling them.  The lane is derived from the restored vocabulary, so it
+is never stored.
 
-Correctness notes (property-tested against both reference lanes):
+Correctness notes (each lane is property-tested against a per-word oracle):
 
 * Words and haystacks are encoded UTF-8 with ``surrogatepass`` (casefolded
   *str* produced upstream may contain lone surrogates).  UTF-8 is
   self-synchronizing, so a byte-level substring match is exactly a
   character-level substring match — no false positives from matches starting
   mid-character.
-* Callers fold *then* encode.  The automaton never maps byte offsets back to
+* Callers fold *then* encode.  The matcher never maps byte offsets back to
   the original string, so casefold length changes (``ß`` → ``ss``) are safe.
-* :meth:`find_batch` joins a whole batch with a separator byte that occurs
-  in no word, so one C-speed ``bytes.find`` per guard prefix covers every
-  text; a match can never span two texts because it would have to contain
-  the separator.
 """
 
 from __future__ import annotations
@@ -49,44 +49,52 @@ import struct
 from array import array
 from bisect import bisect_right
 from collections import deque
-from typing import Iterable, List, Optional, Sequence, Set, Union
+from typing import Iterable, List, Sequence, Set, Union
 
 __all__ = [
     "PackedAutomaton",
-    "DENSE_CELL_BUDGET",
+    "AUTOMATON_THRESHOLD",
     "BATCH_GUARD_LIMIT",
     "BATCH_WORD_LIMIT",
     "GUARD_PREFIX_LENGTH",
+    "SUBSTRING_LANE",
+    "JOINED_LANE",
+    "WALK_LANE",
 ]
 
-#: Above this many cells (states x alphabet) the dense full-DFA table is not
-#: built and the base/check layout is used instead.  8M int32 cells = 32 MiB,
-#: which comfortably covers a 5k-rule registry (~10k atoms, ~140k states).
-DENSE_CELL_BUDGET = 8 * 1024 * 1024
+#: Below this many words, per-word ``bytes.find`` (C speed) beats the DFA
+#: walk; the throughput bench's crossover sweep puts the packed walk's
+#: crossover near ~190 words.
+AUTOMATON_THRESHOLD = 192
 
-#: ``find_batch`` uses the joined guard-prefix lane while the vocabulary
-#: groups into at most this many guard prefixes; beyond that the per-text
-#: DFA walk is cheaper (one C ``find`` per guard costs ~1 pass each).
+#: The joined lane needs the vocabulary to group into at most this many guard
+#: prefixes; beyond that the per-text DFA walk is cheaper (one C ``find`` per
+#: guard costs ~1 pass each).
 BATCH_GUARD_LIMIT = 384
 
-#: ...and while the vocabulary holds at most this many words: verification
-#: loops over a guard's members at every guard occurrence, so huge
-#: vocabularies behind few guards pay more in verification than the DFA
-#: walk costs (measured crossover ~2k words in the throughput bench sweep).
+#: ...and to hold at most this many words: verification loops over a guard's
+#: members at every guard occurrence, so huge vocabularies behind few guards
+#: pay more in verification than the DFA walk costs (measured crossover ~2k
+#: words in the throughput bench sweep).
 BATCH_WORD_LIMIT = 2048
 
-#: Guard prefix length (bytes) for the batch lane.  Words shorter than this
+#: Guard prefix length (bytes) for the joined lane.  Words shorter than this
 #: are their own guard and need no verification step.
 GUARD_PREFIX_LENGTH = 8
 
-_MAGIC = b"PKAC"
-_FORMAT_VERSION = 1
-_MODE_DENSE = 0
-_MODE_SPARSE = 1
+SUBSTRING_LANE = "substring"
+JOINED_LANE = "joined"
+WALK_LANE = "walk"
 
-_HEADER = struct.Struct(
-    "<4sBBBBiiiiii"
-)  # magic, version, mode, itemsize, flags, K, states, out_first, words, sep, guard_limit
+#: Joins the joined lane's texts.  0xFF never occurs in UTF-8 (surrogatepass
+#: included), so no encoded word contains it.
+_SEPARATOR = b"\xff"
+
+_MAGIC = b"PKAC"
+_FORMAT_VERSION = 2
+
+# magic, version, array itemsize, alphabet size, states, out_first, words
+_HEADER = struct.Struct("<4sBB2xiiii")
 
 
 def _encode(text: Union[str, bytes]) -> bytes:
@@ -98,18 +106,12 @@ def _encode(text: Union[str, bytes]) -> bytes:
 class PackedAutomaton:
     """Multi-pattern literal matcher over flat packed byte-level tables.
 
-    Drop-in result-compatible with :class:`AhoCorasick`: ``find(text)``
-    returns the ids (indices into ``words``) of every word occurring in
-    ``text``, by plain substring semantics.  Inputs are matched exactly as
+    ``find_batch(texts)`` returns, per text, the ids (indices into
+    ``words``) of every word occurring in it.  Inputs are matched exactly as
     given — casefolding is the caller's convention, applied before encoding.
     """
 
-    def __init__(
-        self,
-        words: Iterable[str],
-        dense_cell_budget: int = DENSE_CELL_BUDGET,
-        batch_guard_limit: int = BATCH_GUARD_LIMIT,
-    ) -> None:
+    def __init__(self, words: Iterable[str]) -> None:
         self.words: list[str] = []
         seen: dict[str, int] = {}
         for word in words:
@@ -118,13 +120,11 @@ class PackedAutomaton:
             if word not in seen:
                 seen[word] = len(self.words)
                 self.words.append(word)
-        self.dense_cell_budget = dense_cell_budget
-        self.batch_guard_limit = batch_guard_limit
         self._build()
 
     # -- construction -------------------------------------------------------------
     def _build(self) -> None:
-        encoded = [_encode(w) for w in self.words]
+        encoded = [w.encode("utf-8", "surrogatepass") for w in self.words]
         self._encoded = encoded
 
         # byte trie (dict form, construction only)
@@ -166,8 +166,6 @@ class PackedAutomaton:
         alphabet = len(used) + 1
         self.alphabet_size = alphabet
         self._translate = bytes(symbol.get(b, 0) for b in range(256))
-        unused = [b for b in range(256) if b not in symbol]
-        self._sep: Optional[int] = unused[0] if unused else None
 
         # renumber states: non-output states first (root stays 0), output
         # states at the end, both in BFS order — "has output" becomes a
@@ -179,9 +177,8 @@ class PackedAutomaton:
         assert non_out and non_out[0] == 0, "root can never be an output state"
         for i, s in enumerate(non_out + with_out):
             new_id[s] = i
-        out_first = len(non_out)
         self.state_count = n_states
-        self._out_first = out_first
+        self._out_first = len(non_out)
 
         # flat merged output lists, indexed by (new_id - out_first)
         out_offsets = array("i", [0] * (len(with_out) + 1))
@@ -192,30 +189,12 @@ class PackedAutomaton:
         self._out_offsets = out_offsets
         self._out_words = out_words
 
-        if n_states * alphabet <= self.dense_cell_budget:
-            self._build_dense(goto, fail, order, new_id, alphabet, out_first)
-        else:
-            self._build_sparse(goto, fail, order, new_id, alphabet)
-        self._finalize()
-
-    def _build_dense(
-        self,
-        goto: list[dict[int, int]],
-        fail: list[int],
-        order: list[int],
-        new_id: list[int],
-        alphabet: int,
-        out_first: int,
-    ) -> None:
-        """Full-DFA expansion: failure links folded into one flat table.
-
-        Rows hold *pre-multiplied* successor ids so the walk needs no
-        multiply.  Each state's row starts as a copy of its failure state's
-        (already final, BFS guarantees shallower-first) row — a C-speed
-        slice copy — then its own children overwrite their symbols.
-        """
-        self.mode = "dense"
-        delta = array("i", [0]) * (len(goto) * alphabet)
+        # full-DFA expansion: failure links folded into one flat table.  Rows
+        # hold *pre-multiplied* successor ids so the walk needs no multiply.
+        # Each state's row starts as a copy of its failure state's (already
+        # final, BFS guarantees shallower-first) row — a C-speed slice copy —
+        # then its own children overwrite their symbols.
+        delta = array("i", [0]) * (n_states * alphabet)
         translate = self._translate
         for state in order:
             base = new_id[state] * alphabet
@@ -225,81 +204,32 @@ class PackedAutomaton:
             for byte, nxt in goto[state].items():
                 delta[base + translate[byte]] = new_id[nxt] * alphabet
         self._delta = delta
-        self._out_boundary = out_first * alphabet
-        self._base = self._check = self._next = self._fail = None
-
-    def _build_sparse(
-        self,
-        goto: list[dict[int, int]],
-        fail: list[int],
-        order: list[int],
-        new_id: list[int],
-        alphabet: int,
-    ) -> None:
-        """Base/check double-array over the goto trie (first-fit packing).
-
-        ``check`` stores *owner id + 1* so zero-initialised cells never
-        alias state 0; the walk chases failure links explicitly, exactly
-        like the dict automaton, but over three flat int arrays.
-        """
-        self.mode = "sparse"
-        n_states = len(goto)
-        capacity = max(alphabet + 1, n_states + alphabet + 1)
-        base = array("i", [0]) * n_states
-        check = array("i", [0]) * capacity
-        nxt_arr = array("i", [0]) * capacity
-        packed_fail = array("i", [0]) * n_states
-        translate = self._translate
-        search_start = 1
-        for state in order:
-            packed_fail[new_id[state]] = new_id[fail[state]]
-            children = goto[state]
-            if not children:
-                continue
-            syms = [translate[b] for b in children]
-            b = search_start
-            while True:
-                limit = b + alphabet + 1
-                if limit >= len(check):
-                    grow = limit + alphabet + 1 - len(check)
-                    check.extend([0] * grow)
-                    nxt_arr.extend([0] * grow)
-                if all(not check[b + sym] for sym in syms):
-                    break
-                b += 1
-            base[new_id[state]] = b
-            owner = new_id[state] + 1
-            for byte, child in children.items():
-                slot = b + translate[byte]
-                check[slot] = owner
-                nxt_arr[slot] = new_id[child]
-            while search_start < len(check) and check[search_start]:
-                search_start += 1
-        self._base = base
-        self._check = check
-        self._next = nxt_arr
-        self._fail = packed_fail
-        self._delta = None
-        self._out_boundary = self._out_first
+        self._finalize()
 
     def _finalize(self) -> None:
-        """Derived lookup structures shared by both layouts."""
-        # output tuples keyed by the walk's raw state value (pre-multiplied
-        # in dense mode) — hits are rare, so a dict probe per hit is fine
+        """Derived lookup structures and the lane, rebuilt on every load."""
+        # output tuples keyed by the walk's raw (pre-multiplied) state value
+        # — hits are rare, so a dict probe per hit is fine
         offsets, flat = self._out_offsets, self._out_words
-        step = self.alphabet_size if self.mode == "dense" else 1
-        boundary = self._out_boundary
+        step = self.alphabet_size
+        self._out_boundary = boundary = self._out_first * step
         self._out_by_state = {
             boundary + i * step: tuple(flat[offsets[i] : offsets[i + 1]])
             for i in range(len(offsets) - 1)
         }
-        # guard groups for the batch lane: words bucketed by their first
+        # guard groups for the joined lane: words bucketed by their first
         # GUARD_PREFIX_LENGTH bytes; one C find per guard, then per-text
         # verification of the longer members
         guards: dict[bytes, list[int]] = {}
         for word_id, word in enumerate(self._encoded):
             guards.setdefault(word[:GUARD_PREFIX_LENGTH], []).append(word_id)
         self._guards = guards
+        if len(self.words) < AUTOMATON_THRESHOLD:
+            self.lane = SUBSTRING_LANE
+        elif len(guards) <= BATCH_GUARD_LIMIT and len(self.words) <= BATCH_WORD_LIMIT:
+            self.lane = JOINED_LANE
+        else:
+            self.lane = WALK_LANE
 
     # -- introspection ------------------------------------------------------------
     def __len__(self) -> int:
@@ -312,104 +242,58 @@ class PackedAutomaton:
     @property
     def memory_bytes(self) -> int:
         """Total size of the packed tables (not the word list)."""
-        total = len(self._out_offsets) * self._out_offsets.itemsize
-        total += len(self._out_words) * self._out_words.itemsize
-        total += len(self._translate)
-        if self.mode == "dense":
-            total += len(self._delta) * self._delta.itemsize
-        else:
-            for arr in (self._base, self._check, self._next, self._fail):
-                total += len(arr) * arr.itemsize
-        return total
+        arrays = (self._out_offsets, self._out_words, self._delta)
+        return len(self._translate) + sum(len(a) * a.itemsize for a in arrays)
 
     # -- scanning -----------------------------------------------------------------
     def find(self, text: Union[str, bytes]) -> Set[int]:
-        """Ids of every word occurring in ``text`` (substring semantics)."""
-        return self.find_bytes(_encode(text))
+        """Ids of every word occurring in ``text``: a batch of one."""
+        return self.find_batch([text])[0]
 
-    def find_bytes(self, data: bytes) -> Set[int]:
-        if not self.words:
-            return set()
-        if self.mode == "dense":
-            return self._find_dense(data)
-        return self._find_sparse(data)
+    def find_batch(self, texts: Sequence[Union[str, bytes]]) -> List[Set[int]]:
+        """Per-text hit sets for a whole batch, through this vocabulary's lane.
 
-    def _find_dense(self, data: bytes) -> Set[int]:
+        Accepts ``str`` or pre-encoded UTF-8 ``bytes`` haystacks.  Every lane
+        returns the same sets; only the cost of reaching them differs.
+        """
+        encoded = [_encode(t) for t in texts]
+        if self.lane == SUBSTRING_LANE:
+            return self._find_substring(encoded)
+        if self.lane == JOINED_LANE:
+            return self._find_joined(encoded)
+        return self._find_walk(encoded)
+
+    def _find_substring(self, encoded: Sequence[bytes]) -> List[Set[int]]:
+        words = self._encoded
+        return [{i for i, word in enumerate(words) if word in data} for data in encoded]
+
+    def _find_walk(self, encoded: Sequence[bytes]) -> List[Set[int]]:
         delta = self._delta
         boundary = self._out_boundary
         outputs = self._out_by_state
-        hits: set[int] = set()
-        pending = len(self.words)
-        state = 0
-        for sym in data.translate(self._translate):
-            state = delta[state + sym]
-            if state >= boundary:
-                for word_id in outputs[state]:
-                    if word_id not in hits:
-                        hits.add(word_id)
-                        pending -= 1
-                if not pending:
-                    break
-        return hits
+        translate = self._translate
+        results: List[Set[int]] = []
+        for data in encoded:
+            hits: set[int] = set()
+            pending = len(self.words)
+            state = 0
+            for sym in data.translate(translate):
+                state = delta[state + sym]
+                if state >= boundary:
+                    for word_id in outputs[state]:
+                        if word_id not in hits:
+                            hits.add(word_id)
+                            pending -= 1
+                    if not pending:
+                        break
+            results.append(hits)
+        return results
 
-    def _find_sparse(self, data: bytes) -> Set[int]:
-        base, check, nxt, fail = self._base, self._check, self._next, self._fail
-        boundary = self._out_boundary
-        outputs = self._out_by_state
-        hits: set[int] = set()
-        pending = len(self.words)
-        state = 0
-        for sym in data.translate(self._translate):
-            while True:
-                slot = base[state] + sym
-                if check[slot] == state + 1:
-                    state = nxt[slot]
-                    break
-                if not state:
-                    break
-                state = fail[state]
-            if state >= boundary:
-                for word_id in outputs[state]:
-                    if word_id not in hits:
-                        hits.add(word_id)
-                        pending -= 1
-                if not pending:
-                    break
-        return hits
-
-    # -- batch scanning -----------------------------------------------------------
-    def find_batch(self, texts: Sequence[Union[str, bytes]]) -> List[Set[int]]:
-        """Per-text hit sets for a whole batch, setup amortised across it.
-
-        While the vocabulary groups into few enough guard prefixes, every
-        text is joined (with a separator byte no word contains, so matches
-        cannot cross texts) and each guard costs a single C-speed
-        ``bytes.find`` pass over the whole batch; guard hits are verified
-        per text.  Otherwise each text takes the packed DFA walk.  Either
-        way the result equals ``[self.find(t) for t in texts]``.
-        """
-        if not texts:
-            return []
-        if not self.words:
-            return [set() for _ in texts]
-        encoded = [_encode(t) for t in texts]
-        if (
-            len(encoded) > 1
-            and self._sep is not None
-            and len(self._guards) <= self.batch_guard_limit
-            and len(self.words) <= BATCH_WORD_LIMIT
-        ):
-            return self._find_batch_joined(encoded)
-        return [self.find_bytes(data) for data in encoded]
-
-    def _find_batch_joined(self, encoded: list[bytes]) -> List[Set[int]]:
-        sep = bytes([self._sep])
-        joined = sep.join(encoded)
-        starts: list[int] = []
+    def _find_joined(self, encoded: Sequence[bytes]) -> List[Set[int]]:
+        joined = _SEPARATOR.join(encoded)
         ends: list[int] = []
         offset = 0
         for data in encoded:
-            starts.append(offset)
             offset += len(data)
             ends.append(offset)
             offset += 1  # separator
@@ -420,8 +304,6 @@ class PackedAutomaton:
         words = self._encoded
         for guard, members in self._guards.items():
             pos = find(guard)
-            if pos == -1:
-                continue
             while pos != -1:
                 text_index = bisect_right(ends, pos)
                 hits = results[text_index]
@@ -448,23 +330,15 @@ class PackedAutomaton:
 
     # -- serialization ------------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """Self-describing blob: header, word list, packed tables."""
-        mode = _MODE_DENSE if self.mode == "dense" else _MODE_SPARSE
-        itemsize = (
-            self._delta if self._delta is not None else self._base
-        ).itemsize
+        """Self-describing blob: header, word list, alphabet map, packed tables."""
         header = _HEADER.pack(
             _MAGIC,
             _FORMAT_VERSION,
-            mode,
-            itemsize,
-            0,
+            self._delta.itemsize,
             self.alphabet_size,
             self.state_count,
             self._out_first,
             len(self.words),
-            -1 if self._sep is None else self._sep,
-            self.batch_guard_limit,
         )
         parts = [header]
         word_blob = bytearray()
@@ -474,19 +348,10 @@ class PackedAutomaton:
         parts.append(struct.pack("<i", len(word_blob)))
         parts.append(bytes(word_blob))
         parts.append(self._translate)
-        arrays: tuple = (self._out_offsets, self._out_words)
-        arrays += (self._delta,) if mode == _MODE_DENSE else (
-            self._base,
-            self._check,
-            self._next,
-            self._fail,
-        )
-        parts.append(struct.pack("<i", len(arrays)))
-        for arr in arrays:
+        for arr in (self._out_offsets, self._out_words, self._delta):
             raw = arr.tobytes()
             parts.append(struct.pack("<i", len(raw)))
             parts.append(raw)
-        parts.append(struct.pack("<i", self.dense_cell_budget))
         return b"".join(parts)
 
     @classmethod
@@ -500,17 +365,13 @@ class PackedAutomaton:
         if len(blob) < _HEADER.size or blob[:4] != _MAGIC:
             raise ValueError("not a PackedAutomaton blob")
         (
-            magic,
+            _magic,
             version,
-            mode,
             itemsize,
-            _flags,
             alphabet,
             states,
             out_first,
             n_words,
-            sep,
-            guard_limit,
         ) = _HEADER.unpack_from(blob, 0)
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported PackedAutomaton format version {version}")
@@ -529,52 +390,29 @@ class PackedAutomaton:
         words = [w.decode("utf-8", "surrogatepass") for w in encoded]
         translate = blob[pos : pos + 256]
         pos += 256
-        (n_arrays,) = struct.unpack_from("<i", blob, pos)
-        pos += 4
         raws: list[bytes] = []
-        for _ in range(n_arrays):
+        for _ in range(3):
             (raw_len,) = struct.unpack_from("<i", blob, pos)
             pos += 4
             raws.append(blob[pos : pos + raw_len])
             pos += raw_len
-        (cell_budget,) = struct.unpack_from("<i", blob, pos)
 
         if itemsize != array("i").itemsize:
-            return cls(
-                words, dense_cell_budget=cell_budget, batch_guard_limit=guard_limit
-            )
-
-        self = cls.__new__(cls)
-        self.words = words
-        self._encoded = encoded
-        self.dense_cell_budget = cell_budget
-        self.batch_guard_limit = guard_limit
-        self.alphabet_size = alphabet
-        self.state_count = states
-        self._out_first = out_first
-        self._translate = translate
-        self._sep = None if sep < 0 else sep
+            return cls(words)
 
         def load(raw: bytes) -> array:
             arr = array("i")
             arr.frombytes(raw)
             return arr
 
-        self._out_offsets = load(raws[0])
-        self._out_words = load(raws[1])
-        if mode == _MODE_DENSE:
-            self.mode = "dense"
-            self._delta = load(raws[2])
-            self._base = self._check = self._next = self._fail = None
-            self._out_boundary = out_first * alphabet
-        else:
-            self.mode = "sparse"
-            self._base = load(raws[2])
-            self._check = load(raws[3])
-            self._next = load(raws[4])
-            self._fail = load(raws[5])
-            self._delta = None
-            self._out_boundary = out_first
+        self = cls.__new__(cls)
+        self.words = words
+        self._encoded = encoded
+        self.alphabet_size = alphabet
+        self.state_count = states
+        self._out_first = out_first
+        self._translate = translate
+        self._out_offsets, self._out_words, self._delta = (load(raw) for raw in raws)
         self._finalize()
         return self
 

@@ -144,8 +144,11 @@ class RulesetVersion:
         return version
 
 
-_VERSION_BLOB_MAGIC = b"RSV1"
-_REGISTRY_BLOB_MAGIC = b"RSREG1"
+# bumped whenever the pickled object graph changes shape, so a blob written
+# by an older layout fails ``from_bytes`` with a ValueError instead of an
+# unpickling error (journal replay records such a publish as unrecoverable)
+_VERSION_BLOB_MAGIC = b"RSV2"
+_REGISTRY_BLOB_MAGIC = b"RSREG2"
 
 
 @dataclass(frozen=True)
@@ -310,12 +313,10 @@ class RulesetRegistry:
     def __init__(
         self,
         min_atom_length: int = DEFAULT_MIN_ATOM_LENGTH,
-        automaton_threshold: Optional[int] = None,
         namespace: str = "",
         store: Optional["RuleStore"] = None,
     ) -> None:
         self.min_atom_length = min_atom_length
-        self.automaton_threshold = automaton_threshold
         self.namespace = namespace  # stamped on every PublishEvent
         self._lock = threading.Lock()
         self._versions: dict[int, RulesetVersion] = {}
@@ -398,7 +399,6 @@ class RulesetRegistry:
                 yara=yara,
                 semgrep=semgrep,
                 min_atom_length=self.min_atom_length,
-                automaton_threshold=self.automaton_threshold,
             )
             span.set_attr("lane", index.lane)
         obs = _obs_registry()
@@ -691,7 +691,6 @@ class RulesetRegistry:
         with self._lock:
             state = {
                 "min_atom_length": self.min_atom_length,
-                "automaton_threshold": self.automaton_threshold,
                 "namespace": self.namespace,
                 "versions": dict(self._versions),
                 "current": self._current,
@@ -709,7 +708,6 @@ class RulesetRegistry:
         state = pickle.loads(blob[len(_REGISTRY_BLOB_MAGIC):])
         registry = cls(
             min_atom_length=state["min_atom_length"],
-            automaton_threshold=state["automaton_threshold"],
             namespace=state["namespace"],
         )
         registry._versions = state["versions"]
@@ -776,7 +774,6 @@ class RulesetRegistry:
         cls,
         store: "RuleStore",
         min_atom_length: int = DEFAULT_MIN_ATOM_LENGTH,
-        automaton_threshold: Optional[int] = None,
         namespace: str = "",
     ) -> "RulesetRegistry":
         """Recover a registry from its durable store: latest snapshot blob +
@@ -801,7 +798,6 @@ class RulesetRegistry:
         else:
             registry = cls(
                 min_atom_length=min_atom_length,
-                automaton_threshold=automaton_threshold,
                 namespace=namespace,
             )
         registry._replay_store_tail(store, after)

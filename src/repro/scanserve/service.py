@@ -194,9 +194,6 @@ class ScanServiceConfig:
     min_atom_length: int = 3
     use_index: bool = True  # False = naive per-rule scanning (for comparison)
     track_rule_costs: bool = True  # per-rule timing telemetry (top_slow_rules)
-    automaton_threshold: Optional[int] = None  # atom count where the index
-    # switches from per-atom substring scans to the Aho–Corasick automaton
-    # (None = the engine default); applies to registries this service creates
     chunk_size: Optional[int] = None  # packages per worker task; a chunk is
     # scanned as one batch (atom pass amortised).  None = one contiguous
     # chunk per shard; smaller chunks pipeline better on uneven packages
@@ -369,10 +366,7 @@ class ScanService:
         # (freshly created, not-yet-published) registry is falsy and a bare
         # ``registry or ...`` would silently replace it
         if registry is None:
-            registry = RulesetRegistry(
-                min_atom_length=self.config.min_atom_length,
-                automaton_threshold=self.config.automaton_threshold,
-            )
+            registry = RulesetRegistry(min_atom_length=self.config.min_atom_length)
         self.registry = registry
         if self.config.cache_dir:
             self.cache: Union[ScanResultCache, DiskScanResultCache] = (

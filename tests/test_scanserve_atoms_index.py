@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.scanserve import (
-    AhoCorasick,
+    PackedAutomaton,
     RuleIndex,
     guaranteed_identifiers,
     semgrep_rule_atoms,
@@ -380,21 +380,26 @@ def _wrap_rules(rules):
     return CompiledSemgrepRuleSet(rules=list(rules))
 
 
-# -- Aho–Corasick -------------------------------------------------------------------
+# -- atom matcher -------------------------------------------------------------------
 
 
-class TestAhoCorasick:
+def _reference(words, text):
+    """Oracle: per-word Python substring check."""
+    return {i for i, w in enumerate(dict.fromkeys(words)) if w in text}
+
+
+class TestAtomMatcher:
     def test_overlapping_and_suffix_hits(self):
-        automaton = AhoCorasick(["he", "she", "his", "hers"])
-        hits = {automaton.words[i] for i in automaton.find_automaton("ushers")}
+        automaton = PackedAutomaton(["he", "she", "his", "hers"])
+        hits = {automaton.words[i] for i in automaton.find("ushers")}
         assert hits == {"she", "he", "hers"}
 
     def test_duplicate_words_are_merged(self):
-        automaton = AhoCorasick(["abc", "abc"])
+        automaton = PackedAutomaton(["abc", "abc"])
         assert len(automaton) == 1
 
     def test_no_hits(self):
-        automaton = AhoCorasick(["abc"])
+        automaton = PackedAutomaton(["abc"])
         assert automaton.find("zzzzzz") == set()
 
     @_slow
@@ -402,11 +407,16 @@ class TestAhoCorasick:
         st.lists(
             st.text(alphabet="abcd", min_size=1, max_size=5), min_size=1, max_size=12
         ),
-        st.text(alphabet="abcd", max_size=120),
+        st.lists(st.text(alphabet="abcd", max_size=120), max_size=6),
     )
-    def test_automaton_matches_substring_scan(self, words, text):
-        automaton = AhoCorasick(words)
-        assert automaton.find_automaton(text) == automaton.find_substring(text)
+    def test_automaton_matches_substring_scan(self, words, texts):
+        automaton = PackedAutomaton(words)
+        expected = [_reference(words, text) for text in texts]
+        encoded = [text.encode("utf-8") for text in texts]
+        assert automaton._find_substring(encoded) == expected
+        assert automaton._find_joined(encoded) == expected
+        assert automaton._find_walk(encoded) == expected
+        assert automaton.find_batch(texts) == expected
 
 
 # -- index parity -------------------------------------------------------------------

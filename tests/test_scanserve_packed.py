@@ -1,11 +1,12 @@
-"""Packed automaton parity: the flat-table hot path vs both reference lanes.
+"""Atom matcher parity: every lane of ``PackedAutomaton`` vs a per-word oracle.
 
-The contract the packed tables must honour is exact: for every vocabulary
-and every haystack, ``PackedAutomaton.find`` equals the dict-trie
-``AhoCorasick.find_automaton`` equals the per-atom substring lane — and the
-batch lane equals mapping ``find`` over the batch.  Serialization
-(``to_bytes``/``from_bytes`` and pickle) must restore tables that produce
-identical hit sets and stats without re-running construction.
+The contract is exact: for every vocabulary and every batch of haystacks,
+each lane (per-word substring, joined guard-prefix, dense DFA walk) returns
+what the test-local ``_reference`` oracle returns.  No option forces a lane,
+so the tests call the lane methods directly; the lane ``find_batch`` picks
+follows the vocabulary alone.  Serialization (``to_bytes``/``from_bytes``
+and pickle) must restore tables that produce identical hit sets, lane and
+stats without re-running construction.
 """
 
 import pickle
@@ -14,8 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.scanserve import AhoCorasick, PackedAutomaton, RuleIndex
-from repro.scanserve.packed import GUARD_PREFIX_LENGTH
+from repro.scanserve import PackedAutomaton, RuleIndex
+from repro.scanserve.packed import (
+    AUTOMATON_THRESHOLD,
+    BATCH_GUARD_LIMIT,
+    BATCH_WORD_LIMIT,
+    GUARD_PREFIX_LENGTH,
+)
 from repro.scanserve.registry import RulesetRegistry, RulesetVersion
 from repro.yarax import compile_source
 
@@ -38,27 +44,28 @@ def _reference(words, text):
     return {i for i, w in enumerate(dict.fromkeys(words)) if w in text}
 
 
+def _each_lane(auto, texts):
+    """``{lane: per-text hit sets}`` with every lane run on ``texts``."""
+    encoded = [t.encode("utf-8", "surrogatepass") for t in texts]
+    return {
+        "substring": auto._find_substring(encoded),
+        "joined": auto._find_joined(encoded),
+        "walk": auto._find_walk(encoded),
+    }
+
+
 # -- single-text parity -------------------------------------------------------------
 
 
 class TestFindParity:
     @_slow
     @given(_words, _haystack)
-    def test_packed_equals_dict_equals_substring(self, words, text):
-        auto = AhoCorasick(words)
-        expected = auto.find_substring(text)
-        assert auto.find_automaton(text) == expected
-        assert auto.packed.find(text) == expected
-        assert expected == _reference(words, text)
-
-    @_slow
-    @given(_words, _haystack)
-    def test_sparse_layout_matches_dense(self, words, text):
-        dense = PackedAutomaton(words)
-        # a zero cell budget forces the base/check layout
-        sparse = PackedAutomaton(words, dense_cell_budget=0)
-        assert dense.mode == "dense" and sparse.mode == "sparse"
-        assert dense.find(text) == sparse.find(text)
+    def test_each_lane_equals_reference(self, words, text):
+        auto = PackedAutomaton(words)
+        expected = _reference(words, text)
+        for lane, hits in _each_lane(auto, [text]).items():
+            assert hits == [expected], lane
+        assert auto.find(text) == expected
 
     def test_empty_text(self):
         auto = PackedAutomaton(["abc"])
@@ -123,25 +130,31 @@ class TestBatchParity:
     def test_find_batch_equals_mapped_find(self, words, texts):
         auto = PackedAutomaton(words)
         assert auto.find_batch(texts) == [auto.find(t) for t in texts]
+        assert auto.find_batch(texts) == [_reference(words, t) for t in texts]
 
     @_slow
     @given(_words, st.lists(_haystack, min_size=2, max_size=8))
     def test_joined_lane_matches_walk_lane(self, words, texts):
-        joined = PackedAutomaton(words)  # small vocab -> joined guard lane
-        walk = PackedAutomaton(words, batch_guard_limit=0)  # force DFA walk
-        assert joined.find_batch(texts) == walk.find_batch(texts)
+        auto = PackedAutomaton(words)
+        expected = [_reference(words, t) for t in texts]
+        for lane, hits in _each_lane(auto, texts).items():
+            assert hits == expected, lane
 
     def test_empty_batch(self):
         assert PackedAutomaton(["a"]).find_batch([]) == []
 
     def test_batch_with_empty_texts(self):
         auto = PackedAutomaton(["ab"])
-        assert auto.find_batch(["", "ab", ""]) == [set(), {0}, set()]
+        for hits in _each_lane(auto, ["", "ab", ""]).values():
+            assert hits == [set(), {0}, set()]
 
     def test_match_never_crosses_texts(self):
         auto = PackedAutomaton(["abcd"])
         # "ab" + "cd" adjacent in the joined buffer must not fire
-        assert auto.find_batch(["ab", "cd"]) == [set(), set()]
+        for hits in _each_lane(auto, ["ab", "cd"]).values():
+            assert hits == [set(), set()]
+        # nor may a separator byte already inside a (non-UTF-8) text
+        assert auto._find_joined([b"ab\xffcd", b"abcd"]) == [set(), {0}]
 
     def test_long_words_verified_per_occurrence(self):
         # guard prefix shared by many members, only some of which occur
@@ -149,17 +162,33 @@ class TestBatchParity:
         long_b = "registry_" + "b" * GUARD_PREFIX_LENGTH
         auto = PackedAutomaton([long_a, long_b, "registry"])
         texts = [f"x {long_a} registry y", "no hits", f"registry {long_b}"]
-        assert auto.find_batch(texts) == [{0, 2}, set(), {1, 2}]
+        for hits in _each_lane(auto, texts).values():
+            assert hits == [{0, 2}, set(), {1, 2}]
 
     def test_repeated_guard_occurrences(self):
         word = "prefix__long_tail"
         auto = PackedAutomaton([word, "prefix__"])
         text = "prefix__x prefix__y " + word
-        assert auto.find_batch([text, text]) == [{0, 1}, {0, 1}]
+        for hits in _each_lane(auto, [text, text]).values():
+            assert hits == [{0, 1}, {0, 1}]
 
-    def test_ahocorasick_find_batch_delegates(self):
-        auto = AhoCorasick(["one", "two"])
-        assert auto.find_batch(["one and two", "zzz"]) == [{0, 1}, set()]
+
+# -- lane selection -----------------------------------------------------------------
+
+
+class TestLaneSelection:
+    def test_lane_follows_the_vocabulary(self):
+        few = [f"w{i:04d}" for i in range(AUTOMATON_THRESHOLD - 1)]
+        assert PackedAutomaton([]).lane == "substring"
+        assert PackedAutomaton(few).lane == "substring"
+        # one more word crosses the threshold; each short word is its own guard
+        assert PackedAutomaton(few + ["w9999"]).lane == "joined"
+        many_guards = [f"w{i:04d}" for i in range(BATCH_GUARD_LIMIT + 1)]
+        assert PackedAutomaton(many_guards).lane == "walk"
+        # one shared guard prefix, but more words than the joined lane verifies
+        one_guard = [f"registry_{i}" for i in range(BATCH_WORD_LIMIT + 1)]
+        auto = PackedAutomaton(one_guard)
+        assert auto.guard_count == 1 and auto.lane == "walk"
 
 
 # -- serialization ------------------------------------------------------------------
@@ -167,7 +196,7 @@ class TestBatchParity:
 
 def _same_tables(a: PackedAutomaton, b: PackedAutomaton) -> None:
     assert a.words == b.words
-    assert a.mode == b.mode
+    assert a.lane == b.lane
     assert a.state_count == b.state_count
     assert a.alphabet_size == b.alphabet_size
     assert a.guard_count == b.guard_count
@@ -191,32 +220,25 @@ class TestSerialization:
         _same_tables(auto, restored)
         assert restored.find(text) == auto.find(text)
 
-    def test_sparse_round_trip(self):
-        auto = PackedAutomaton(["alpha", "beta", "betamax"], dense_cell_budget=0)
-        assert auto.mode == "sparse"
-        restored = PackedAutomaton.from_bytes(auto.to_bytes())
-        _same_tables(auto, restored)
-        assert restored.find("betamax alpha") == auto.find("betamax alpha")
-
     def test_from_bytes_rejects_garbage(self):
         with pytest.raises(ValueError):
             PackedAutomaton.from_bytes(b"not a blob")
         with pytest.raises(ValueError):
             PackedAutomaton.from_bytes(b"PKAC" + b"\x00" * 10)
+        blob = PackedAutomaton(["aa"]).to_bytes()
+        with pytest.raises(ValueError, match="format version 1"):
+            PackedAutomaton.from_bytes(blob[:4] + b"\x01" + blob[5:])
 
     def test_round_trip_preserves_batch_lane(self):
-        auto = PackedAutomaton(["aa", "bb"], batch_guard_limit=7)
-        restored = pickle.loads(pickle.dumps(auto))
-        assert restored.batch_guard_limit == 7
-        assert restored.find_batch(["aa x", "y bb"]) == [{0}, {1}]
-
-    def test_ahocorasick_pickles_without_dict_trie(self):
-        auto = AhoCorasick(["needle", "pin"])
-        auto.find_automaton("needle")  # materialise the reference trie
-        restored = pickle.loads(pickle.dumps(auto))
-        assert restored._trie is None  # derived state is dropped, not shipped
-        assert restored.find("a needle") == {0}
-        assert restored.find_automaton("a needle") == {0}  # rebuilt on demand
+        joined = [f"w{i:04d}" for i in range(AUTOMATON_THRESHOLD)]
+        walk = joined + [f"x{i:04d}" for i in range(BATCH_GUARD_LIMIT)]
+        texts = ["w0001 x", "y x0002 w0191"]
+        for vocabulary, lane in ((joined, "joined"), (walk, "walk")):
+            auto = PackedAutomaton(vocabulary)
+            restored = pickle.loads(pickle.dumps(auto))
+            assert auto.lane == restored.lane == lane
+            expected = [_reference(vocabulary, t) for t in texts]
+            assert restored.find_batch(texts) == auto.find_batch(texts) == expected
 
 
 # -- whole-index / registry round trips ---------------------------------------------
@@ -308,6 +330,6 @@ class TestIndexRoundTrips:
 
     def test_stats_report_packed_tables(self):
         stats = self._index().stats()
-        assert stats.packed_mode in ("dense", "sparse")
+        assert stats.packed_mode == "dense"
         assert stats.packed_memory_bytes > 0
         assert stats.batch_guards > 0

@@ -310,29 +310,34 @@ class TestTelemetryDeterminism:
         ]
 
 
-class TestAutomatonLaneThreshold:
-    def test_index_lane_follows_the_configured_threshold(self):
-        from repro.scanserve import RuleIndex
+def _needle_yara(atoms: int):
+    """One rule per atom: ``atoms`` distinct literals in the index vocabulary."""
+    return compile_source(
+        "\n".join(
+            f'rule r{i} {{ strings: $a = "needle_{i:04d}" condition: $a }}'
+            for i in range(atoms)
+        )
+    )
 
-        yara = _tiny_yara("one", "needle_aaa")
-        low = RuleIndex(yara=yara, automaton_threshold=1)
-        high = RuleIndex(yara=yara, automaton_threshold=512)
-        assert low.lane == "automaton"
-        assert high.lane == "substring"
-        assert low.stats().lane == "automaton"
-        assert low.stats().automaton_threshold == 1
+
+class TestAutomatonLaneThreshold:
+    def test_index_lane_follows_vocabulary_size(self):
+        from repro.scanserve import AUTOMATON_THRESHOLD, RuleIndex
+
+        below = RuleIndex(yara=_needle_yara(AUTOMATON_THRESHOLD - 1))
+        at = RuleIndex(yara=_needle_yara(AUTOMATON_THRESHOLD))
+        assert (below.stats().atoms, at.stats().atoms) == (191, 192)
+        assert below.lane == below.stats().lane == "substring"
+        assert at.lane == at.stats().lane == "automaton"
         # both lanes find the same atoms (the parity contract)
-        assert low.yara_rule_names("has needle_aaa inside") == ["one"]
-        assert high.yara_rule_names("has needle_aaa inside") == ["one"]
+        assert below.yara_rule_names("has needle_0007 inside") == ["r7"]
+        assert at.yara_rule_names("has needle_0007 inside") == ["r7"]
 
     def test_service_records_the_chosen_lane(self, small_dataset):
-        service = ScanService(
-            config=ScanServiceConfig(mode="inprocess", automaton_threshold=1)
-        )
-        service.publish(yara=_tiny_yara())
+        service = ScanService(config=ScanServiceConfig(mode="inprocess"))
+        service.publish(yara=_needle_yara(192))
         service.scan_batch(small_dataset.packages[:3])
         assert service.stats.lanes == {"automaton": 1}
-        assert service.registry.automaton_threshold == 1
 
     def test_naive_mode_is_recorded_as_its_own_lane(self, small_dataset):
         service = ScanService(

@@ -167,6 +167,33 @@ class TestRegistryRecovery:
             assert len(tombstones) == 1
             assert tombstones[0].reason == "decayed"
 
+    def test_older_format_publish_blob_is_noted_not_fatal(self, tmp_path):
+        """A publish blob in an older pickle layout (magic ``RSV1``) must not
+        reach ``pickle.loads``: recovery notes it and keeps going."""
+        store, _ = _store(tmp_path)
+        with store:
+            registry = RulesetRegistry(store=store)
+            version = registry.publish_generated(
+                _ruleset(_rule("r1", "needle")), label="current"
+            )
+            fresh = version.to_bytes()
+            assert fresh.startswith(b"RSV2")
+            old = store.blobs.put(b"RSV1" + fresh[len(b"RSV2"):])
+            epoch = store.journal.append(
+                "publish",
+                {"version": 2, "blob": old, "label": "old", "activated": True},
+            )
+
+        store, _ = _store(tmp_path)
+        with store:
+            recovered = RulesetRegistry.from_store(store)
+            assert recovered.versions() == [1]
+            assert recovered.current().label == "current"
+            assert len(recovered.recovery_notes) == 1
+            assert recovered.recovery_notes[0].startswith(
+                f"publish@{epoch} unrecoverable"
+            )
+
     def test_recovery_never_recompiles(self, tmp_path, monkeypatch):
         """The acceptance criterion: snapshot blobs restore compiled versions
         byte-for-byte, so recovery must not touch either compiler."""
