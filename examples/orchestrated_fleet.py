@@ -13,7 +13,8 @@ side.  This script runs the full orchestrated loop:
    once, whole clusters are dealt to shards, global cluster ids preserved),
    runs one generation session per shard on a small thread pool,
 3. the shard outputs publish as **one merged version** with per-shard
-   provenance (`RulesetRegistry.publish_merged`),
+   provenance (`merge_shard_rulesets`, then
+   `RulesetRegistry.publish_merged_set`),
 4. the service — subscribed to the registry's event bus — notices the new
    live version and automatically re-scans its recency window, reporting
    the :class:`repro.api.RescanDelta` (newly flagged / changed / cleared),

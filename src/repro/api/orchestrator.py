@@ -17,8 +17,10 @@ scale wants the *generation* side sharded like the scanning side already is.
    deterministic lane tests use;
 3. the shard outputs publish through the registry's fleet semantics:
    ``publish="merged"`` unions them into one version
-   (:meth:`~repro.scanserve.registry.RulesetRegistry.publish_merged`, with
-   rule-name collision resolution and per-shard provenance), while
+   (:func:`~repro.scanserve.registry.merge_shard_rulesets`, with rule-name
+   collision resolution, then
+   :meth:`~repro.scanserve.registry.RulesetRegistry.publish_merged_set`,
+   recording per-shard provenance), while
    ``publish="stacked"`` builds a chain of cumulative layers
    (:meth:`~repro.scanserve.registry.RulesetRegistry.publish_stacked`) whose
    parent pointers make single-shard rollback an ``activate`` call.

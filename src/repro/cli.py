@@ -34,10 +34,12 @@ Twelve subcommands cover the common workflows:
     the recent window live and reports the detection delta.
 
 ``rulellm registry``
-    Inspect and manage an on-disk registry directory of versioned rule sets
-    (``v1/``, ``v2/``, ... plus an ``ACTIVE`` marker): ``list`` compiles and
-    summarises every version, ``activate`` flips the marker, ``retire``
-    deletes a non-active version.
+    Inspect and manage the versioned rule sets of a :mod:`repro.store`
+    store (see ``orchestrate --store``): ``list`` summarises every version
+    recovered from the snapshot and journal tail, ``activate`` journals a
+    new active version, ``retire`` journals a tombstone for a non-active
+    one.  An old ``v<N>/``+``ACTIVE`` directory is imported first with
+    ``rulellm store migrate``.
 
 ``rulellm serve``
     Run the :mod:`repro.gateway` — the long-running async multi-tenant
@@ -173,9 +175,6 @@ def _add_orchestrate(subparsers) -> None:
                         help="rules that must fire to call a package malicious (default 1)")
     parser.add_argument("--output", default=None,
                         help="also write the fleet's merged rule files to this directory")
-    parser.add_argument("--registry-dir", default=None,
-                        help="save the merged rules as the next version of this "
-                             "on-disk registry directory (see 'rulellm registry')")
     parser.add_argument("--store", default=None,
                         help="durable state store directory: the registry recovers "
                              "from (and journals into) it, and every shard "
@@ -199,20 +198,20 @@ def _add_orchestrate(subparsers) -> None:
 def _add_registry(subparsers) -> None:
     parser = subparsers.add_parser(
         "registry",
-        help="manage an on-disk registry directory of versioned rule sets",
+        help="manage the versioned rule sets of a durable store",
     )
     actions = parser.add_subparsers(dest="registry_command", required=True)
-    list_parser = actions.add_parser("list", help="compile and summarise every version")
-    list_parser.add_argument("dir", help="registry directory (v1/, v2/, ... + ACTIVE)")
+    list_parser = actions.add_parser("list", help="summarise every version")
+    list_parser.add_argument("dir", help="store directory (see 'orchestrate --store')")
     activate_parser = actions.add_parser("activate", help="mark a version as active")
     activate_parser.add_argument("dir")
     activate_parser.add_argument("version", type=int)
-    retire_parser = actions.add_parser("retire", help="delete a non-active version")
+    retire_parser = actions.add_parser("retire", help="retire a non-active version")
     retire_parser.add_argument("dir")
     retire_parser.add_argument("version", type=int)
     retire_parser.add_argument("--reason", default="",
-                               help="why the version is retired (stamped into the "
-                                    "RETIRED.json tombstone file)")
+                               help="why the version is retired (stamped into "
+                                    "its tombstone)")
     retire_parser.add_argument("--by", default="", dest="retired_by",
                                help="who retired it (operator name or automation id)")
 
@@ -315,18 +314,58 @@ def _cmd_store(args) -> int:
     return 2
 
 
+# -- old registry directories (read only by 'store migrate') ------------------------
+_ACTIVE_MARKER = "ACTIVE"
+_RETIRED_FILE = "RETIRED.json"
+
+
+def _registry_dir_tombstones(root: Path) -> list[dict]:
+    """Retirement records of an on-disk registry (empty when none)."""
+    import json as json_module
+
+    try:
+        records = json_module.loads(
+            (root / _RETIRED_FILE).read_text(encoding="utf-8")
+        )
+    except (OSError, ValueError):
+        return []
+    return records if isinstance(records, list) else []
+
+
+def _registry_dir_versions(root: Path) -> dict[int, Path]:
+    versions: dict[int, Path] = {}
+    if root.is_dir():
+        for path in root.iterdir():
+            if path.is_dir() and path.name.startswith("v") and path.name[1:].isdigit():
+                versions[int(path.name[1:])] = path
+    return versions
+
+
+def _registry_dir_active(root: Path) -> int | None:
+    marker = root / _ACTIVE_MARKER
+    try:
+        return int(marker.read_text(encoding="utf-8").strip())
+    except (OSError, ValueError):
+        return None
+
+
 def _store_migrate(src: Path, dest: Path) -> int:
     """Convert an old ``v<N>/``+``ACTIVE`` registry directory into a store.
 
-    Version numbers are preserved: a gap in the directory (a version
-    ``rulellm registry retire`` deleted, or one that no longer parses) is
-    consumed by a placeholder publish that is immediately retired through
-    the registry, so the journal carries the original tombstone under its
-    original number and live versions keep theirs.
+    Version numbers are preserved: a gap in the directory (a retired
+    version, or one that no longer parses) is consumed by a placeholder
+    publish that is immediately retired through the registry, so the
+    journal carries the original tombstone under its original number and
+    live versions keep theirs.  ``dest`` must not hold a store yet.
     """
     from repro.scanserve import RulesetRegistry
     from repro.store import open_store
+    from repro.store.recovery import JOURNAL_DIR
 
+    if (dest / JOURNAL_DIR).is_dir():
+        print(f"{dest} already holds a store; migrate into a new directory",
+              file=sys.stderr)
+        return 1
     versions = _registry_dir_versions(src)
     if not versions:
         print(f"no versions under {src}", file=sys.stderr)
@@ -1021,9 +1060,6 @@ def _cmd_orchestrate(args) -> int:
     if args.output:
         output = fleet.rule_set.save(args.output)
         print(f"wrote merged rule files under {output}")
-    if args.registry_dir:
-        version_dir, version = _registry_dir_add(Path(args.registry_dir), fleet.rule_set)
-        print(f"saved merged rules as {version_dir} (active v{version})")
     if args.json:
         report = {
             "fleet": fleet.to_dict(),
@@ -1047,147 +1083,18 @@ def _cmd_orchestrate(args) -> int:
     return 0
 
 
-# -- on-disk registry directories ---------------------------------------------------
-_ACTIVE_MARKER = "ACTIVE"
-_RETIRED_FILE = "RETIRED.json"
-
-
-def _registry_dir_tombstones(root: Path) -> list[dict]:
-    """Retirement records of an on-disk registry (empty when none)."""
-    import json as json_module
-
-    try:
-        records = json_module.loads(
-            (root / _RETIRED_FILE).read_text(encoding="utf-8")
-        )
-    except (OSError, ValueError):
-        return []
-    return records if isinstance(records, list) else []
-
-
-def _registry_dir_add_tombstone(root: Path, record: dict) -> None:
-    import json as json_module
-
-    from repro.utils.atomic import atomic_write_text
-
-    records = _registry_dir_tombstones(root)
-    records.append(record)
-    atomic_write_text(
-        root / _RETIRED_FILE,
-        json_module.dumps(records, indent=2, sort_keys=True) + "\n",
-    )
-
-
-def _registry_dir_versions(root: Path) -> dict[int, Path]:
-    versions: dict[int, Path] = {}
-    if root.is_dir():
-        for path in root.iterdir():
-            if path.is_dir() and path.name.startswith("v") and path.name[1:].isdigit():
-                versions[int(path.name[1:])] = path
-    return versions
-
-
-def _registry_dir_active(root: Path) -> int | None:
-    marker = root / _ACTIVE_MARKER
-    try:
-        return int(marker.read_text(encoding="utf-8").strip())
-    except (OSError, ValueError):
-        return None
-
-
-def _registry_dir_add(root: Path, ruleset) -> tuple[Path, int]:
-    """Save ``ruleset`` as the next version of ``root`` and activate it."""
-    from repro.utils.atomic import atomic_write_text
-
-    versions = _registry_dir_versions(root)
-    version = max(versions, default=0) + 1
-    version_dir = root / f"v{version}"
-    ruleset.save(version_dir)
-    # the marker flip is the activation: make it atomic + durable so a crash
-    # never leaves a half-written marker pointing nowhere
-    atomic_write_text(root / _ACTIVE_MARKER, f"{version}\n")
-    return version_dir, version
-
-
 def _cmd_registry(args) -> int:
-    from repro.scanserve import RulesetRegistry
-
-    root = Path(args.dir)
-    if (root / "journal").is_dir():  # new store layout: route through repro.store
-        return _cmd_registry_store(args, root)
-    versions = _registry_dir_versions(root)
-    active = _registry_dir_active(root)
-
-    if args.registry_command == "list":
-        if not versions:
-            print(f"no versions under {root}")
-            return 0
-        # publish every version into a scratch registry: this compiles the
-        # rules (surfacing rot early) and builds the prefilter index whose
-        # stats the summary line reports
-        registry = RulesetRegistry()
-        for version in sorted(versions):
-            marker = "*" if version == active else " "
-            ruleset = GeneratedRuleSet.load(versions[version])
-            if not ruleset.rules:
-                print(f"{marker} v{version}: (empty or unreadable)")
-                continue
-            published = registry.publish_generated(
-                ruleset, label=versions[version].name, activate=False
-            )
-            stats = published.index.stats()
-            print(
-                f"{marker} v{version}: {published.rule_count} rules, "
-                f"{stats.atoms} atoms, {stats.indexed_fraction:.0%} indexed"
-            )
-        for record in _registry_dir_tombstones(root):
-            by = f" by {record['retired_by']}" if record.get("retired_by") else ""
-            why = f": {record['reason']}" if record.get("reason") else ""
-            print(f"x v{record['version']} retired{by}{why}")
-        return 0
-
-    if args.version not in versions:
-        known = ", ".join(f"v{v}" for v in sorted(versions)) or "none"
-        print(f"unknown version v{args.version} under {root} (known: {known})",
-              file=sys.stderr)
-        return 1
-
-    if args.registry_command == "activate":
-        from repro.utils.atomic import atomic_write_text
-
-        atomic_write_text(root / _ACTIVE_MARKER, f"{args.version}\n")
-        print(f"activated v{args.version}")
-        return 0
-
-    if args.registry_command == "retire":
-        if args.version == active:
-            print(f"cannot retire the active version v{args.version}",
-                  file=sys.stderr)
-            return 1
-        import shutil
-        import time
-
-        ruleset = GeneratedRuleSet.load(versions[args.version])
-        _registry_dir_add_tombstone(root, {
-            "version": args.version,
-            "reason": args.reason,
-            "retired_by": args.retired_by,
-            "retired_at": time.time(),
-            "rule_count": len(ruleset.rules),
-        })
-        shutil.rmtree(versions[args.version])
-        suffix = f" ({args.reason})" if args.reason else ""
-        print(f"retired v{args.version}{suffix}")
-        return 0
-    return 2
-
-
-def _cmd_registry_store(args, root: Path) -> int:
-    """`rulellm registry` against a store-backed root: same verbs, recovered
-    from snapshot blobs + journal tail instead of ``v<N>/`` directories."""
+    """`rulellm registry` on a store: the registry is recovered from its
+    snapshot + journal tail, and every change is journaled back."""
     from repro.scanserve import RulesetRegistry
     from repro.store import open_store
+    from repro.store.recovery import JOURNAL_DIR
 
+    root = Path(args.dir)
+    if not (root / JOURNAL_DIR).is_dir():
+        print(f"no store at {root}; import a v<N>/+ACTIVE registry directory "
+              f"with 'rulellm store migrate {root} DEST'", file=sys.stderr)
+        return 1
     store, report = open_store(root, create=False)
     with store:
         registry = RulesetRegistry.from_store(store)

@@ -158,7 +158,7 @@ def combine(rule_sets: Iterable[GeneratedRuleSet]) -> GeneratedRuleSet:
     Sharded generation should NOT use this: fleet merging needs rule-name
     collision resolution, cross-shard dedup and deterministic ordering —
     that policy lives in :func:`repro.scanserve.registry.merge_shard_rulesets`
-    (what ``RulesetRegistry.publish_merged`` runs).
+    (what the orchestrator runs before ``RulesetRegistry.publish_merged_set``).
     """
     combined = GeneratedRuleSet()
     for rule_set in rule_sets:

@@ -19,7 +19,7 @@ Aho–Corasick prefilter, registry malware pipelines) reach scale:
   hot-swap and rollback;
 * :mod:`repro.scanserve.cache` — a content-hash result cache keyed on
   ``(package fingerprint, ruleset version)``;
-* :mod:`repro.scanserve.scheduler` — sharding, a bounded worker pool
+* :mod:`repro.scanserve.scheduler` — chunking, a bounded worker pool
   (multiprocessing with an in-process fallback) and backpressure;
 * :mod:`repro.scanserve.service` — :class:`ScanService`, the batch-scanning
   front end tying the pieces together.
@@ -37,7 +37,7 @@ from repro.scanserve.atoms import (
     semgrep_rule_atoms,
     yara_rule_atoms,
 )
-from repro.scanserve.cache import CacheStats, DiskScanResultCache, ScanResultCache
+from repro.scanserve.cache import CacheStats, ScanResultCache
 from repro.scanserve.index import AUTOMATON_LANE, IndexStats, RuleIndex
 from repro.scanserve.packed import (
     AUTOMATON_THRESHOLD,
@@ -60,7 +60,6 @@ from repro.scanserve.scheduler import (
     ScanScheduler,
     ShardStats,
     chunk_items,
-    shard_items,
 )
 from repro.scanserve.telemetry import RuleCost, RuleCostSample, RuleCostTracker
 from repro.scanserve.service import (
@@ -91,7 +90,6 @@ __all__ = [
     "merge_shard_rulesets",
     "CacheStats",
     "ScanResultCache",
-    "DiskScanResultCache",
     "RuleCost",
     "RuleCostSample",
     "RuleCostTracker",
@@ -102,7 +100,6 @@ __all__ = [
     "ScanScheduler",
     "ShardStats",
     "chunk_items",
-    "shard_items",
     "BatchScanResult",
     "RescanDelta",
     "ScanService",

@@ -5,32 +5,23 @@ share files, re-scans after a rule hot-swap only need re-scanning when the
 rules actually changed), so scan results are cached under
 ``(package fingerprint, ruleset cache key)`` — the cache key is the
 content digest a :class:`repro.scanserve.registry.RulesetVersion` carries,
-so identical rule sets share entries (even across processes) while any
-change to the rules is an implicit, surgical invalidation.  The fingerprint is the
-SHA-256-based digest from :class:`repro.evaluation.detector.PreparedPackage`
-(built on :mod:`repro.utils.hashing`), which covers file paths, contents,
-metadata and the scan configuration.
+so identical rule sets share entries while any change to the rules is an
+implicit, surgical invalidation.  The fingerprint is the SHA-256-based
+digest from :class:`repro.evaluation.detector.PreparedPackage` (built on
+:mod:`repro.utils.hashing`), which covers file paths, contents, metadata
+and the scan configuration.
 
-Two backends share the interface: the in-memory :class:`ScanResultCache`
-(the default) and :class:`DiskScanResultCache`, an on-disk LRU whose
-entries survive process restarts — a registry scanner that redeploys keeps
-its warm cache, so the post-restart re-scan only pays for packages the
-previous process never saw.  Select it with
-``ScanServiceConfig(cache_dir=...)``.
+The cache lives in memory only; durable state goes through
+:mod:`repro.store`.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from repro.evaluation.detector import PackageDetection
-from repro.utils.atomic import atomic_write_text
-from repro.utils.hashing import stable_digest
 
 
 @dataclass
@@ -98,160 +89,6 @@ class ScanResultCache:
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-# -- persistence helpers -------------------------------------------------------------
-
-
-def detection_to_dict(detection: PackageDetection) -> dict:
-    """Serialise a detection for the on-disk cache (JSON-safe)."""
-    return {
-        "package": detection.package,
-        "actual_malicious": detection.actual_malicious,
-        "yara_rules": list(detection.yara_rules),
-        "semgrep_rules": list(detection.semgrep_rules),
-        "scan_seconds": detection.scan_seconds,
-    }
-
-
-def detection_from_dict(data: dict) -> PackageDetection:
-    return PackageDetection(
-        package=data["package"],
-        actual_malicious=bool(data["actual_malicious"]),
-        yara_rules=list(data.get("yara_rules", [])),
-        semgrep_rules=list(data.get("semgrep_rules", [])),
-        scan_seconds=float(data.get("scan_seconds", 0.0)),
-    )
-
-
-class DiskScanResultCache:
-    """Bounded on-disk LRU cache of scan results that survives restarts.
-
-    One JSON file per ``(fingerprint, ruleset version)`` entry under
-    ``directory``; an in-memory LRU index mirrors what is on disk and is
-    rebuilt from the directory (file modification times give the recency
-    order) when a new process attaches.  Evictions delete the entry file, so
-    the directory never holds more than ``max_entries`` results.  The
-    interface is interchangeable with :class:`ScanResultCache`.
-    """
-
-    def __init__(self, directory: str | Path, max_entries: int = 4096) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.max_entries = max_entries
-        self._lock = threading.Lock()
-        # (fingerprint, ruleset key) -> file path, least recently used first
-        self._entries: "OrderedDict[tuple[str, int | str], Path]" = OrderedDict()
-        self.stats = CacheStats()
-        self._load()
-
-    @staticmethod
-    def _entry_name(fingerprint: str, ruleset_version: int | str) -> str:
-        return stable_digest(f"{fingerprint}\x00{ruleset_version}") + ".json"
-
-    def _load(self) -> None:
-        """Rebuild the LRU index from the cache directory."""
-        for stray in self.directory.glob("*.tmp"):  # torn writes from a crash
-            self._evict_file(stray)
-        found: list[tuple[float, tuple[str, int | str], Path]] = []
-        for path in self.directory.glob("*.json"):
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                ruleset_key = payload["ruleset_version"]
-                if not isinstance(ruleset_key, (int, str)):
-                    raise TypeError("ruleset_version must be int or str")
-                key = (str(payload["fingerprint"]), ruleset_key)
-                payload["detection"]["package"]  # entry must be complete
-                mtime = path.stat().st_mtime
-            except (OSError, ValueError, KeyError, TypeError):
-                try:  # corrupt or foreign file: drop it rather than serve it
-                    path.unlink()
-                except OSError:
-                    pass
-                continue
-            found.append((mtime, key, path))
-        # mtime gives recency; file name breaks ties so a rebuilt index is
-        # deterministic even on filesystems with coarse timestamp granularity
-        for _, key, path in sorted(found, key=lambda item: (item[0], item[2].name)):
-            self._entries[key] = path
-        while len(self._entries) > self.max_entries:
-            _, path = self._entries.popitem(last=False)
-            self._evict_file(path)
-
-    @staticmethod
-    def _evict_file(path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
-
-    def get(self, fingerprint: str, ruleset_version: int | str) -> PackageDetection | None:
-        key = (fingerprint, ruleset_version)
-        with self._lock:
-            path = self._entries.get(key)
-            if path is None:
-                self.stats.misses += 1
-                return None
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                # file names stringify the key, so e.g. versions 1 and "1"
-                # share a file; only serve an exact (typed) key match
-                if (payload["fingerprint"], payload["ruleset_version"]) != key:
-                    raise KeyError("entry belongs to a colliding key")
-                detection = detection_from_dict(payload["detection"])
-            except (OSError, ValueError, KeyError, TypeError):
-                # entry vanished or rotted underneath us: treat as a miss
-                self._entries.pop(key, None)
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            try:  # refresh recency for the next process's rebuild
-                os.utime(path)
-            except OSError:
-                pass
-            self.stats.hits += 1
-            return detection
-
-    def put(
-        self, fingerprint: str, ruleset_version: int | str, detection: PackageDetection
-    ) -> None:
-        key = (fingerprint, ruleset_version)
-        path = self.directory / self._entry_name(fingerprint, ruleset_version)
-        payload = {
-            "fingerprint": fingerprint,
-            "ruleset_version": ruleset_version,
-            "detection": detection_to_dict(detection),
-        }
-        with self._lock:
-            # atomic but deliberately not durable: losing a cache entry to a
-            # crash costs one re-scan, and the entry fsyncs would dominate
-            # small-batch scan latency
-            atomic_write_text(path, json.dumps(payload, sort_keys=True), durable=False)
-            self._entries[key] = path
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                _, stale = self._entries.popitem(last=False)
-                self._evict_file(stale)
-                self.stats.evictions += 1
-
-    def invalidate_version(self, ruleset_version: int | str) -> int:
-        with self._lock:
-            stale = [key for key in self._entries if key[1] == ruleset_version]
-            for key in stale:
-                self._evict_file(self._entries.pop(key))
-            return len(stale)
-
-    def clear(self) -> None:
-        with self._lock:
-            for path in self._entries.values():
-                self._evict_file(path)
             self._entries.clear()
 
     def __len__(self) -> int:

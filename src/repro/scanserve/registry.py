@@ -12,9 +12,10 @@ addressable for rollback.
 Sharded generation adds two first-class publish semantics on top of the
 plain one:
 
-* :meth:`RulesetRegistry.publish_merged` — union the outputs of several
-  generation shards into **one** version, resolving rule-name collisions
-  deterministically and recording per-shard :class:`ShardProvenance`;
+* :meth:`RulesetRegistry.publish_merged_set` — publish the **one** version
+  :func:`merge_shard_rulesets` unions from several generation shards
+  (rule-name collisions resolved deterministically), recording per-shard
+  :class:`ShardProvenance`;
 * :meth:`RulesetRegistry.publish_stacked` — publish the shards as a chain
   of **cumulative layers** (layer *k* serves the union of the first *k*
   shards), each carrying a ``parent`` pointer to the layer below and a
@@ -83,10 +84,9 @@ class RulesetVersion:
 
     ``cache_key`` identifies the ruleset's *content* for result caches: two
     versions share a key iff they were published from identical rule
-    sources, so a persistent cache can safely serve entries across process
-    restarts (where the version counter starts over at 1).  When no content
-    digest is available the key is unique per publish — correct, just never
-    shared across processes.
+    sources, so republishing the same rules keeps serving cached results.
+    When no content digest is available the key is unique per publish —
+    correct, just never shared.
 
     ``parent`` / ``stack_id`` are set on stacked layers (see
     :meth:`RulesetRegistry.publish_stacked`); ``provenance`` records the
@@ -148,7 +148,6 @@ class RulesetVersion:
 # by an older layout fails ``from_bytes`` with a ValueError instead of an
 # unpickling error (journal replay records such a publish as unrecoverable)
 _VERSION_BLOB_MAGIC = b"RSV2"
-_REGISTRY_BLOB_MAGIC = b"RSREG2"
 
 
 @dataclass(frozen=True)
@@ -177,6 +176,17 @@ class RetirementRecord:
             "retired_at": self.retired_at,
             "rule_count": self.rule_count,
         }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RetirementRecord":
+        return cls(
+            version=int(data.get("version", 0)),
+            label=str(data.get("label", "")),
+            reason=str(data.get("reason", "")),
+            retired_by=str(data.get("retired_by", "")),
+            retired_at=float(data.get("retired_at", 0.0)),
+            rule_count=int(data.get("rule_count", 0)),
+        )
 
     def describe(self) -> str:
         label = f" ({self.label})" if self.label else ""
@@ -325,6 +335,7 @@ class RulesetRegistry:
         self._subscribers: dict[int, PublishListener] = {}
         self._next_subscriber = 1
         self._retired: dict[int, RetirementRecord] = {}  # bounded tombstones
+        self._blob_digests: dict[int, str] = {}  # version -> its blob in ``store``
         self.subscriber_errors: list[str] = []  # bounded; diagnostics only
         self.store = store  # durable journal+blobs (see repro.store); optional
         self.recovery_notes: list[str] = []  # anomalies from the last recovery
@@ -429,9 +440,11 @@ class RulesetRegistry:
             # write-ahead: the journal record (and its version blob) must be
             # durable *before* the in-memory swap — a crash mid-journal leaves
             # a torn record recovery truncates, never a half-published version
-            self._journal_publish(version, kind=kind, activated=activate)
+            digest = self._journal_publish(version, kind=kind, activated=activate)
             self._next_version += 1
             self._versions[version.version] = version
+            if digest:
+                self._blob_digests[version.version] = digest
             if activate:
                 self._current = version.version
         self._notify(
@@ -479,26 +492,6 @@ class RulesetRegistry:
             provenance=provenance,
         )
 
-    def publish_merged(
-        self,
-        shards: Sequence[Tuple[str, object]],
-        label: str = "",
-        activate: bool = True,
-    ) -> RulesetVersion:
-        """Union several shards' rule sets into **one** published version.
-
-        ``shards`` is ``[(shard label, generated rule set), ...]`` — see
-        :func:`merge_shard_rulesets` for the collision/ordering policy.  The
-        published version carries a :class:`ShardProvenance` entry per shard
-        and emits a ``merged`` :class:`PublishEvent`.
-        """
-        if not shards:
-            raise ValueError("publish_merged needs at least one shard")
-        merged, provenance = merge_shard_rulesets(shards)
-        return self.publish_merged_set(
-            merged, provenance, label=label, activate=activate
-        )
-
     def publish_merged_set(
         self,
         merged,
@@ -506,13 +499,11 @@ class RulesetRegistry:
         label: str = "",
         activate: bool = True,
     ) -> RulesetVersion:
-        """Publish an **already-merged** fleet rule set.
+        """Publish a fleet rule set merged by :func:`merge_shard_rulesets`.
 
-        The lower-level half of :meth:`publish_merged`: callers that also
-        need the merged container itself (e.g. the orchestrator, which
-        returns it on the :class:`FleetResult`) run
-        :func:`merge_shard_rulesets` once and hand both halves here instead
-        of paying for the merge twice.
+        ``merged`` and ``provenance`` are the two halves that function
+        returns; the published version carries the provenance and emits a
+        ``merged`` :class:`PublishEvent`.
         """
         if not merged.rules:
             raise ValueError("no shard contributed any rules")
@@ -632,9 +623,8 @@ class RulesetRegistry:
                         "rule_count": self._versions[version].rule_count,
                     },
                 )
-            dropped = self._versions.pop(version, None)
-            if dropped is None:
-                return None
+            dropped = self._versions.pop(version)
+            self._blob_digests.pop(version, None)
             record = RetirementRecord(
                 version=version,
                 label=dropped.label,
@@ -642,10 +632,13 @@ class RulesetRegistry:
                 retired_by=retired_by,
                 rule_count=dropped.rule_count,
             )
-            self._retired[version] = record
-            while len(self._retired) > _MAX_RETIREMENT_RECORDS:
-                del self._retired[next(iter(self._retired))]
+            self._remember_retirement(record)
             return record
+
+    def _remember_retirement(self, record: RetirementRecord) -> None:
+        self._retired[record.version] = record
+        while len(self._retired) > _MAX_RETIREMENT_RECORDS:
+            del self._retired[next(iter(self._retired))]
 
     def retirements(self) -> list[RetirementRecord]:
         """Tombstones of every retired version, oldest version first."""
@@ -676,52 +669,13 @@ class RulesetRegistry:
                 lines.append(f"x {self._retired[version].describe()}")
         return "\n".join(lines) if lines else "(empty registry)"
 
-    # -- serialization ------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Snapshot the whole registry — every live version with its compiled
-        rules and packed indexes, the current pointer, tombstones — as one
-        blob a fresh process restores with :meth:`from_bytes`.
-
-        Runtime-only state is deliberately excluded: subscribers (callbacks
-        into the snapshotting process) and the lock are rebuilt empty/fresh
-        on restore.  This is the attach-without-recompiling groundwork the
-        durable-registry item needs; shard workers use the lighter
-        per-version :meth:`RulesetVersion.to_bytes`.
-        """
-        with self._lock:
-            state = {
-                "min_atom_length": self.min_atom_length,
-                "namespace": self.namespace,
-                "versions": dict(self._versions),
-                "current": self._current,
-                "next_version": self._next_version,
-                "retired": dict(self._retired),
-            }
-        return _REGISTRY_BLOB_MAGIC + pickle.dumps(
-            state, protocol=pickle.HIGHEST_PROTOCOL
-        )
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "RulesetRegistry":
-        if not blob.startswith(_REGISTRY_BLOB_MAGIC):
-            raise ValueError("not a RulesetRegistry blob")
-        state = pickle.loads(blob[len(_REGISTRY_BLOB_MAGIC):])
-        registry = cls(
-            min_atom_length=state["min_atom_length"],
-            namespace=state["namespace"],
-        )
-        registry._versions = state["versions"]
-        registry._current = state["current"]
-        registry._next_version = state["next_version"]
-        registry._retired = state["retired"]
-        return registry
-
     # -- durable store ------------------------------------------------------------
     def _journal_publish(self, version: RulesetVersion, kind: str,
-                         activated: bool) -> None:
-        """Blob the version and journal the publish (no-op without a store)."""
+                         activated: bool) -> str:
+        """Blob the version and journal the publish; returns the blob digest
+        ("" without a store)."""
         if self.store is None:
-            return
+            return ""
         digest = self.store.blobs.put(version.to_bytes())
         self.store.journal.append(
             "publish",
@@ -737,35 +691,45 @@ class RulesetRegistry:
                 "rule_count": version.rule_count,
             },
         )
+        return digest
 
     def snapshot(self, store: Optional["RuleStore"] = None) -> "SnapshotManifest":
-        """Fold the registry's full state into a snapshot manifest.
+        """Fold the registry's state into a snapshot manifest.
 
-        Writes the whole-registry blob plus one standalone blob per live
-        version, anchored to the journal's current epoch.  Recovery after
-        this point loads the manifest and replays only the tail; compaction
-        may drop every journal segment at or below its epoch.
+        The manifest lists the blob each live version was published or
+        recovered from (nothing is serialized again) and carries the
+        current pointer, the next version number, the atom length, the
+        namespace and the retirement tombstones as JSON, anchored to the
+        journal's current epoch.  Recovery after this point loads the
+        manifest and replays only the tail; compaction may drop every
+        journal segment at or below its epoch.
         """
         from repro.store.snapshots import SnapshotManifest
 
         store = store or self.store
         if store is None:
             raise ValueError("snapshot needs a store")
-        registry_blob = store.blobs.put(self.to_bytes())
         with self._lock:
             versions = dict(self._versions)
+            digests = dict(self._blob_digests)
             current = self._current
-            namespace = self.namespace
-        version_blobs = {
-            number: store.blobs.put(version.to_bytes())
-            for number, version in sorted(versions.items())
-        }
+            next_version = self._next_version
+            retired = [record.to_dict() for record in self._retired.values()]
+        version_blobs = {}
+        for number, version in sorted(versions.items()):
+            digest = digests.get(number)
+            if digest is None or digest not in store.blobs:
+                # not published into this store: blob it now
+                digest = store.blobs.put(version.to_bytes())
+            version_blobs[number] = digest
         manifest = SnapshotManifest(
             epoch=store.journal.last_epoch,
-            registry_blob=registry_blob,
             version_blobs=version_blobs,
             current_version=current,
-            namespace=namespace,
+            namespace=self.namespace,
+            next_version=next_version,
+            min_atom_length=self.min_atom_length,
+            retired=retired,
         )
         return store.write_manifest(manifest)
 
@@ -776,33 +740,59 @@ class RulesetRegistry:
         min_atom_length: int = DEFAULT_MIN_ATOM_LENGTH,
         namespace: str = "",
     ) -> "RulesetRegistry":
-        """Recover a registry from its durable store: latest snapshot blob +
-        journal tail replay.
+        """Recover a registry from its durable store: latest snapshot
+        manifest + journal tail replay.
 
-        The snapshot restores every compiled version (rules, packed
-        automaton tables, provenance) straight from its blob — **no**
-        yarax/semgrepx compilation happens on this path.  Records after the
-        snapshot epoch are folded in one by one; publish records attach
-        their version blobs the same compile-free way.  An empty store
-        yields an empty registry wired to journal future writes (the
-        keyword arguments only matter on that fresh path — a snapshot
-        carries its own configuration).
+        Every version the manifest lists comes back straight from its blob
+        (rules, packed automaton tables, provenance) — **no** yarax/semgrepx
+        compilation happens on this path.  Records after the snapshot epoch
+        are folded in one by one; publish records attach their version
+        blobs the same compile-free way.  A blob that no longer decodes is
+        noted in ``recovery_notes`` and skipped.  An empty store yields an
+        empty registry wired to journal future writes (the keyword
+        arguments only matter where no snapshot carries its own
+        configuration).
         """
+        registry = cls(min_atom_length=min_atom_length, namespace=namespace)
         manifest = store.latest_manifest()
         after = 0
         if manifest is not None:
-            registry = cls.from_bytes(
-                store.blobs.get_verified(manifest.registry_blob)
-            )
+            registry._restore_snapshot(store, manifest)
             after = manifest.epoch
-        else:
-            registry = cls(
-                min_atom_length=min_atom_length,
-                namespace=namespace,
-            )
         registry._replay_store_tail(store, after)
         registry.store = store
         return registry
+
+    def _restore_snapshot(
+        self, store: "RuleStore", manifest: "SnapshotManifest"
+    ) -> None:
+        """Load a snapshot manifest's versions, pointers and tombstones."""
+        self.namespace = manifest.namespace
+        if manifest.min_atom_length is not None:
+            self.min_atom_length = manifest.min_atom_length
+        for number, digest in sorted(manifest.version_blobs.items()):
+            try:
+                version = RulesetVersion.from_bytes(store.blobs.get_verified(digest))
+            except (LookupError, ValueError) as exc:
+                self.recovery_notes.append(
+                    f"snapshot@{manifest.epoch} v{number} unrecoverable: {exc}"
+                )
+                continue
+            self._versions[number] = version
+            self._blob_digests[number] = digest
+        if manifest.current_version in self._versions:
+            self._current = manifest.current_version
+        for data in manifest.retired:
+            self._remember_retirement(RetirementRecord.from_dict(data))
+        if manifest.next_version is None:
+            # written before manifests carried numbering and tombstones
+            self.recovery_notes.append(
+                f"snapshot@{manifest.epoch} has an older layout: tombstones and "
+                f"version numbering before it were not restored"
+            )
+            self._next_version = max(manifest.version_blobs, default=0) + 1
+        else:
+            self._next_version = manifest.next_version
 
     def _replay_store_tail(self, store: "RuleStore", after: int) -> None:
         """Fold journal records after ``after`` into the in-memory state."""
@@ -820,6 +810,7 @@ class RulesetRegistry:
                     )
                     continue
                 self._versions[version.version] = version
+                self._blob_digests[version.version] = digest
                 self._next_version = max(self._next_version, version.version + 1)
                 if data.get("activated"):
                     self._current = version.version
@@ -834,14 +825,8 @@ class RulesetRegistry:
             elif record.type == "retire":
                 number = int(data.get("version", 0))
                 dropped = self._versions.pop(number, None)
+                self._blob_digests.pop(number, None)
                 if dropped is not None or number not in self._retired:
-                    self._retired[number] = RetirementRecord(
-                        version=number,
-                        label=str(data.get("label", "")),
-                        reason=str(data.get("reason", "")),
-                        retired_by=str(data.get("retired_by", "")),
-                        retired_at=record.ts,
-                        rule_count=int(data.get("rule_count", 0)),
+                    self._remember_retirement(
+                        RetirementRecord.from_dict({**data, "retired_at": record.ts})
                     )
-                    while len(self._retired) > _MAX_RETIREMENT_RECORDS:
-                        del self._retired[next(iter(self._retired))]

@@ -1,13 +1,13 @@
 """Sharded execution of scan work.
 
-The scheduler splits a batch of packages into shards, runs a shard function
+The scheduler splits a batch of packages into chunks, runs a shard function
 over them on a worker pool, and reassembles results in submission order.
 Two execution lanes:
 
 * ``process`` — a :class:`concurrent.futures.ProcessPoolExecutor` with a
   per-worker initializer (the compiled ruleset is shipped once per worker,
   not once per task) and a bounded in-flight window: submission blocks when
-  ``max_pending`` shards are outstanding, so an arbitrarily large batch
+  two tasks per worker are outstanding, so an arbitrarily large batch
   never materialises an unbounded task queue (backpressure).
 * ``inprocess`` — the same shard function executed serially in the calling
   process; the fallback for environments where forking/spawning is
@@ -48,27 +48,15 @@ class ShardStats:
         return self.packages / self.seconds if self.seconds > 0 else 0.0
 
 
-def shard_items(items: Sequence[ItemT], num_shards: int) -> list[list[tuple[int, ItemT]]]:
-    """Round-robin ``items`` into ``num_shards`` shards, tagging each item
-    with its original position so results can be reassembled in order."""
-    if num_shards < 1:
-        raise ValueError("num_shards must be positive")
-    shards: list[list[tuple[int, ItemT]]] = [[] for _ in range(num_shards)]
-    for position, item in enumerate(items):
-        shards[position % num_shards].append((position, item))
-    return [shard for shard in shards if shard]
-
-
 def chunk_items(
     items: Sequence[tuple[int, ItemT]], chunk_size: int
 ) -> list[list[tuple[int, ItemT]]]:
     """Slice position-tagged items into contiguous chunks of ``chunk_size``.
 
-    The batch-dispatch counterpart of :func:`shard_items`: a chunk is one
-    worker *task* (scanned as a single batch, so per-task setup — worker
-    round trip, atom pass — amortises over the whole chunk), whereas a
-    shard is one worker's total allotment.  Contiguous slices keep cache
-    locality for prepared packages built in input order.
+    A chunk is one worker *task*, scanned as a single batch, so per-task
+    setup — worker round trip, atom pass — amortises over the whole chunk.
+    Contiguous slices keep cache locality for prepared packages built in
+    input order.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
@@ -92,17 +80,11 @@ class SchedulerReport:
 class ScanScheduler:
     """Run shard functions across a bounded worker pool."""
 
-    def __init__(
-        self,
-        mode: str = AUTO,
-        max_workers: Optional[int] = None,
-        max_pending: Optional[int] = None,
-    ) -> None:
+    def __init__(self, mode: str = AUTO, max_workers: Optional[int] = None) -> None:
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         self.mode = mode
         self.max_workers = max_workers
-        self.max_pending = max_pending
 
     # -- execution ----------------------------------------------------------------
     def run(
@@ -144,7 +126,7 @@ class ScanScheduler:
     def _run_process(self, shards, shard_fn, init_fn, init_args) -> SchedulerReport:
         workers = self.max_workers or min(len(shards), os.cpu_count() or 2)
         workers = max(1, min(workers, len(shards)))
-        max_pending = self.max_pending or workers * 2
+        max_pending = workers * 2  # in-flight window before submission blocks
         results: list = [None] * len(shards)
         with ProcessPoolExecutor(
             max_workers=workers, initializer=init_fn, initargs=init_args

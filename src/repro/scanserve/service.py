@@ -37,7 +37,7 @@ from repro.evaluation.detector import (
     RuleScanner,
     ScanTimings,
 )
-from repro.scanserve.cache import DiskScanResultCache, ScanResultCache
+from repro.scanserve.cache import ScanResultCache
 from repro.scanserve.registry import (
     PublishEvent,
     RulesetRegistry,
@@ -142,16 +142,13 @@ def _scan_shard(
     ``envelope`` is ``(items, span_carrier)`` — the chunk plus the parent
     span context serialized as a plain dict (``None`` when tracing is
     off), so the process lane can emit ``scan.chunk`` spans that join the
-    caller's trace.  A bare list of items is accepted for compatibility.
+    caller's trace.
 
     Returns ``(indexed detections, timings, seconds, costs, span records)``;
     shard-local telemetry rides home in the result tuple and the parent
     folds it back into service-level aggregates.
     """
-    if isinstance(envelope, tuple):
-        shard, carrier = envelope
-    else:
-        shard, carrier = envelope, None
+    shard, carrier = envelope
     assert _WORKER_SCANNER is not None, "worker not initialised"
     start_wall = time.time()
     started = time.perf_counter()
@@ -188,7 +185,6 @@ class ScanServiceConfig:
     max_workers: Optional[int] = None
     enable_cache: bool = True
     cache_entries: int = 4096
-    cache_dir: Optional[str] = None  # set -> persistent on-disk LRU backend
     match_threshold: int = 1
     include_metadata_in_text: bool = True
     min_atom_length: int = 3
@@ -368,12 +364,7 @@ class ScanService:
         if registry is None:
             registry = RulesetRegistry(min_atom_length=self.config.min_atom_length)
         self.registry = registry
-        if self.config.cache_dir:
-            self.cache: Union[ScanResultCache, DiskScanResultCache] = (
-                DiskScanResultCache(self.config.cache_dir, self.config.cache_entries)
-            )
-        else:
-            self.cache = ScanResultCache(self.config.cache_entries)
+        self.cache = ScanResultCache(self.config.cache_entries)
         self.stats = ServiceStats()
         self.rule_costs = RuleCostTracker()
         # recency ring: fingerprint -> last scan, oldest first

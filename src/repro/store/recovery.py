@@ -168,10 +168,7 @@ class RuleStore:
 
     def write_manifest(self, manifest: SnapshotManifest) -> SnapshotManifest:
         self.manifests.write(manifest)
-        self.journal.append(
-            "snapshot",
-            {"epoch": manifest.epoch, "registry_blob": manifest.registry_blob},
-        )
+        self.journal.append("snapshot", {"epoch": manifest.epoch})
         return manifest
 
     # -- sub-stores ---------------------------------------------------------------
@@ -325,7 +322,7 @@ def _dedupe_carried(records: list) -> list:
 def _record_blobs(record) -> set[str]:
     """Every blob digest a journal record references."""
     found: set[str] = set()
-    for key in ("blob", "registry_blob", "rules_blob"):
+    for key in ("blob", "rules_blob"):
         value = record.data.get(key)
         if isinstance(value, str) and value:
             found.add(value)

@@ -2,20 +2,22 @@
 
 The journal records *what happened*; the blob store holds *the bytes that
 happened* — compiled :class:`~repro.scanserve.registry.RulesetVersion`
-payloads, whole-registry snapshots, serialized fleet shard outputs.  Blobs
-are addressed by the SHA-256 of their content (``blobs/<aa>/<digest>.blob``),
-so identical payloads written twice cost one file, writes are naturally
-idempotent, and a digest recorded in a journal record *is* an integrity
-check on the payload it points at.
+payloads and serialized fleet shard outputs.  Blobs are addressed by the
+SHA-256 of their content (``blobs/<aa>/<digest>.blob``), so identical
+payloads written twice cost one file, writes are naturally idempotent, and
+a digest recorded in a journal record *is* an integrity check on the
+payload it points at.
 
-A :class:`SnapshotManifest` caps a journal prefix: "at epoch E the full
-registry state was this blob".  Recovery then becomes *load the latest
-manifest's blob + replay the journal tail after E* instead of replaying
-history from epoch zero, and compaction becomes *drop every sealed segment
-at or below E*.  Manifests are tiny JSON files written atomically and kept
-in order (``snapshots/snapshot-<epoch>.json``); the newest valid one wins,
-so a crash mid-manifest-write can only lose the newest snapshot, never
-corrupt recovery (the previous manifest plus a longer tail replay still
+A :class:`SnapshotManifest` caps a journal prefix: "at epoch E the registry
+served these version blobs, with this current pointer, numbering and
+tombstones".  It references the blobs publish already wrote instead of
+copying them.  Recovery then becomes *load the latest manifest's version
+blobs + replay the journal tail after E* instead of replaying history from
+epoch zero, and compaction becomes *drop every sealed segment at or below
+E*.  Manifests are small JSON files written atomically and kept in order
+(``snapshots/snapshot-<epoch>.json``); the newest valid one wins, so a
+crash mid-manifest-write can only lose the newest snapshot, never corrupt
+recovery (the previous manifest plus a longer tail replay still
 reconstructs the same state).
 """
 
@@ -139,26 +141,31 @@ class BlobStore:
 class SnapshotManifest:
     """One "registry state as of epoch E" marker.
 
-    ``registry_blob`` is the :meth:`RulesetRegistry.to_bytes` payload;
-    ``version_blobs`` maps each live version number to its standalone
-    :meth:`RulesetVersion.to_bytes` blob so shard workers (and partial
-    recovery) can attach per version without decoding the whole registry.
+    ``version_blobs`` maps each live version number to the
+    :meth:`RulesetVersion.to_bytes` blob it was published from.
+    ``next_version``, ``min_atom_length`` and ``retired`` (tombstones as
+    plain dicts) complete the registry state; a manifest written before
+    they were recorded reads them as ``None`` / empty.
     """
 
     epoch: int
-    registry_blob: str
     version_blobs: dict[int, str] = field(default_factory=dict)
     current_version: Optional[int] = None
     namespace: str = ""
+    next_version: Optional[int] = None
+    min_atom_length: Optional[int] = None
+    retired: list[dict] = field(default_factory=list)
     created_at: float = field(default_factory=time.time)
 
     def to_dict(self) -> dict:
         return {
             "epoch": self.epoch,
-            "registry_blob": self.registry_blob,
             "version_blobs": {str(k): v for k, v in self.version_blobs.items()},
             "current_version": self.current_version,
             "namespace": self.namespace,
+            "next_version": self.next_version,
+            "min_atom_length": self.min_atom_length,
+            "retired": list(self.retired),
             "created_at": self.created_at,
         }
 
@@ -166,21 +173,23 @@ class SnapshotManifest:
     def from_dict(cls, data: dict) -> "SnapshotManifest":
         return cls(
             epoch=int(data["epoch"]),
-            registry_blob=str(data["registry_blob"]),
             version_blobs={
                 int(k): str(v) for k, v in dict(data.get("version_blobs", {})).items()
             },
-            current_version=(
-                int(data["current_version"])
-                if data.get("current_version") is not None
-                else None
-            ),
+            current_version=_optional_int(data.get("current_version")),
             namespace=str(data.get("namespace", "")),
+            next_version=_optional_int(data.get("next_version")),
+            min_atom_length=_optional_int(data.get("min_atom_length")),
+            retired=[dict(record) for record in data.get("retired", [])],
             created_at=float(data.get("created_at", 0.0)),
         )
 
     def referenced_blobs(self) -> set[str]:
-        return {self.registry_blob, *self.version_blobs.values()}
+        return set(self.version_blobs.values())
+
+
+def _optional_int(value) -> Optional[int]:
+    return None if value is None else int(value)
 
 
 class ManifestIndex:

@@ -187,13 +187,13 @@ class TestMergeShardRulesets:
 class TestRegistryFleetPublish:
     def test_publish_merged_records_provenance(self):
         registry = RulesetRegistry()
-        version = registry.publish_merged(
+        merged, provenance = merge_shard_rulesets(
             [
                 ("s1", _ruleset(_yara_rule("r1", "needle_one", 0))),
                 ("s2", _ruleset(_yara_rule("r2", "needle_two", 1))),
-            ],
-            label="fleet",
+            ]
         )
+        version = registry.publish_merged_set(merged, provenance, label="fleet")
         assert version.rule_count == 2
         assert [p.shard for p in version.provenance] == ["s1", "s2"]
         assert registry.current_version() == version.version
@@ -201,10 +201,11 @@ class TestRegistryFleetPublish:
 
     def test_publish_merged_requires_rules(self):
         registry = RulesetRegistry()
-        with pytest.raises(ValueError):
-            registry.publish_merged([])
-        with pytest.raises(ValueError):
-            registry.publish_merged([("s1", _ruleset())])
+        for shards in ([], [("s1", _ruleset())]):
+            merged, provenance = merge_shard_rulesets(shards)
+            with pytest.raises(ValueError):
+                registry.publish_merged_set(merged, provenance)
+        assert registry.versions() == []
 
     def test_publish_stacked_builds_a_parent_chain(self):
         registry = RulesetRegistry()

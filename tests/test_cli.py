@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.rules import GeneratedRuleSet
 
 
 def _malicious_setup(variant: str) -> str:
@@ -162,7 +163,6 @@ class TestOrchestrateCli:
     def test_orchestrate_fleet_with_live_rescan(self, tmp_path, capsys):
         """2-shard merge publish + live re-scan (the CI smoke flow)."""
         report_path = tmp_path / "orchestrator.json"
-        registry_dir = tmp_path / "registry"
         exit_code = cli_main(
             [
                 "orchestrate",
@@ -170,7 +170,6 @@ class TestOrchestrateCli:
                 "--shards", "2",
                 "--max-workers", "1",
                 "--json", str(report_path),
-                "--registry-dir", str(registry_dir),
             ]
         )
         output = capsys.readouterr().out
@@ -189,8 +188,6 @@ class TestOrchestrateCli:
         assert len(report["fleet"]["shards"]) == 2
         assert report["rescan"]["to_version"] == 2
         assert report["rescan"]["scanned"] > 0
-        assert (registry_dir / "v1").is_dir()
-        assert (registry_dir / "ACTIVE").read_text(encoding="utf-8").strip() == "1"
 
     def test_orchestrate_empty_directory_fails(self, tmp_path):
         empty = tmp_path / "empty"
@@ -198,10 +195,19 @@ class TestOrchestrateCli:
         assert cli_main(["orchestrate", "--packages", str(empty)]) == 1
 
 
+def _recovered_registry(root):
+    from repro.scanserve import RulesetRegistry
+    from repro.store import open_store
+
+    store, _ = open_store(root, durable=False, create=False)
+    with store:
+        return RulesetRegistry.from_store(store)
+
+
 class TestRegistryCli:
     @pytest.fixture()
-    def registry_dir(self, malware_dir, tmp_path):
-        root = tmp_path / "registry"
+    def store_dir(self, malware_dir, tmp_path):
+        root = tmp_path / "store"
         for _ in range(2):  # two orchestrated publishes -> v1 and v2
             assert cli_main(
                 [
@@ -210,52 +216,129 @@ class TestRegistryCli:
                     "--shards", "2",
                     "--max-workers", "1",
                     "--baseline", "0",
-                    "--registry-dir", str(root),
+                    "--store", str(root),
+                    "--no-durable-store",
                 ]
             ) == 0
         return root
 
-    def test_list_activate_retire_roundtrip(self, registry_dir, capsys):
-        assert cli_main(["registry", "list", str(registry_dir)]) == 0
+    def test_list_activate_retire_roundtrip(self, store_dir, capsys):
+        capsys.readouterr()
+        assert cli_main(["registry", "list", str(store_dir)]) == 0
         listing = capsys.readouterr().out
-        assert "v1:" in listing and "* v2:" in listing  # v2 is active
+        assert "  v1 " in listing and "* v2 " in listing  # v2 is active
 
-        assert cli_main(["registry", "activate", str(registry_dir), "1"]) == 0
-        assert cli_main(["registry", "retire", str(registry_dir), "2"]) == 0
-        assert not (registry_dir / "v2").exists()
+        assert cli_main(["registry", "activate", str(store_dir), "1"]) == 0
+        assert cli_main(["registry", "retire", str(store_dir), "2"]) == 0
+        capsys.readouterr()
 
-        assert cli_main(["registry", "list", str(registry_dir)]) == 0
-        assert "* v1:" in capsys.readouterr().out
+        assert cli_main(["registry", "list", str(store_dir)]) == 0
+        listing = capsys.readouterr().out
+        assert "* v1 " in listing and "x v2 " in listing
+        recovered = _recovered_registry(store_dir)
+        assert recovered.versions() == [1]
+        assert recovered.current_version() == 1
 
-    def test_retire_active_or_unknown_version_fails(self, registry_dir, capsys):
-        assert cli_main(["registry", "retire", str(registry_dir), "2"]) == 1
+    def test_retire_active_or_unknown_version_fails(self, store_dir, capsys):
+        capsys.readouterr()
+        assert cli_main(["registry", "retire", str(store_dir), "2"]) == 1
         assert "cannot retire the active version" in capsys.readouterr().err
-        assert cli_main(["registry", "retire", str(registry_dir), "9"]) == 1
+        assert cli_main(["registry", "retire", str(store_dir), "9"]) == 1
         assert "unknown version v9" in capsys.readouterr().err
+        assert cli_main(["registry", "activate", str(store_dir), "9"]) == 1
+        assert "unknown version v9" in capsys.readouterr().err
+        assert _recovered_registry(store_dir).versions() == [1, 2]
 
     def test_list_empty_directory(self, tmp_path, capsys):
-        assert cli_main(["registry", "list", str(tmp_path / "nothing")]) == 0
-        assert "no versions" in capsys.readouterr().out
+        """A plain directory or a missing path is refused (exit 1, no
+        exception) and pointed at the import."""
+        plain = tmp_path / "plain"
+        (plain / "v1").mkdir(parents=True)
+        for root in (plain, tmp_path / "nothing"):
+            assert cli_main(["registry", "list", str(root)]) == 1
+            assert "rulellm store migrate" in capsys.readouterr().err
+        assert not (plain / "journal").exists()
+        assert not (tmp_path / "nothing").exists()
 
-    def test_retire_with_reason_stamps_a_tombstone(self, registry_dir, capsys):
-        assert cli_main(["registry", "activate", str(registry_dir), "1"]) == 0
+    def test_retire_with_reason_stamps_a_tombstone(self, store_dir, capsys):
+        assert cli_main(["registry", "activate", str(store_dir), "1"]) == 0
         capsys.readouterr()
         assert cli_main(
-            ["registry", "retire", str(registry_dir), "2",
+            ["registry", "retire", str(store_dir), "2",
              "--reason", "decayed in the arena", "--by", "ops"]
         ) == 0
-        assert "retired v2 (decayed in the arena)" in capsys.readouterr().out
-        tombstones = json.loads(
-            (registry_dir / "RETIRED.json").read_text(encoding="utf-8")
-        )
-        assert tombstones[0]["version"] == 2
-        assert tombstones[0]["reason"] == "decayed in the arena"
-        assert tombstones[0]["retired_by"] == "ops"
-        assert tombstones[0]["rule_count"] > 0
+        assert "retired by ops: decayed in the arena" in capsys.readouterr().out
+        tombstones = _recovered_registry(store_dir).retirements()
+        assert [t.version for t in tombstones] == [2]
+        assert tombstones[0].reason == "decayed in the arena"
+        assert tombstones[0].retired_by == "ops"
+        assert tombstones[0].rule_count > 0
 
-        assert cli_main(["registry", "list", str(registry_dir)]) == 0
+        assert cli_main(["registry", "list", str(store_dir)]) == 0
         listing = capsys.readouterr().out
-        assert "x v2 retired by ops: decayed in the arena" in listing
+        assert "retired by ops: decayed in the arena" in listing
+
+
+def _write_rule_dir(root, needle: str):
+    (root / "yara").mkdir(parents=True)
+    (root / "yara" / f"{needle}.yar").write_text(
+        f'rule {needle} {{ strings: $a = "{needle}" condition: $a }}\n',
+        encoding="utf-8",
+    )
+
+
+class TestStoreMigrateCli:
+    @pytest.fixture()
+    def old_registry(self, tmp_path):
+        """v1 and v3 on disk, v2 retired (tombstone only), v1 marked active."""
+        root = tmp_path / "old"
+        _write_rule_dir(root / "v1", "needle_one")
+        _write_rule_dir(root / "v3", "needle_three")
+        (root / "ACTIVE").write_text("1\n", encoding="utf-8")
+        (root / "RETIRED.json").write_text(
+            json.dumps([{"version": 2, "reason": "too noisy", "retired_by": "ops"}]),
+            encoding="utf-8",
+        )
+        return root
+
+    def test_migrate_keeps_numbering_active_and_tombstones(
+        self, old_registry, tmp_path
+    ):
+        dest = tmp_path / "store"
+        assert cli_main(["store", "migrate", str(old_registry), str(dest)]) == 0
+        recovered = _recovered_registry(dest)
+        assert recovered.versions() == [1, 3]
+        assert recovered.current_version() == 1
+        assert recovered.get(3).yara.rules[0].name == "needle_three"
+        tombstones = recovered.retirements()
+        assert [t.version for t in tombstones] == [2]
+        assert (tombstones[0].reason, tombstones[0].retired_by) == ("too noisy", "ops")
+        assert not recovered.recovery_notes
+
+    def test_missing_active_marker_activates_the_highest_version(
+        self, old_registry, tmp_path, capsys
+    ):
+        (old_registry / "ACTIVE").unlink()
+        dest = tmp_path / "store"
+        assert cli_main(["store", "migrate", str(old_registry), str(dest)]) == 0
+        assert "activating v3" in capsys.readouterr().out
+        assert _recovered_registry(dest).current_version() == 3
+
+    def test_migrate_into_an_existing_store_fails(self, old_registry, tmp_path, capsys):
+        from repro.scanserve import RulesetRegistry
+        from repro.store import open_store
+
+        dest = tmp_path / "store"
+        store, _ = open_store(dest, durable=False)
+        with store:
+            RulesetRegistry(store=store).publish_generated(
+                GeneratedRuleSet.load(old_registry / "v3"), label="pre-existing"
+            )
+        assert cli_main(["store", "migrate", str(old_registry), str(dest)]) == 1
+        assert "already holds a store" in capsys.readouterr().err
+        recovered = _recovered_registry(dest)
+        assert recovered.versions() == [1]
+        assert recovered.current().label == "pre-existing"
 
 
 class TestArenaCli:

@@ -310,24 +310,6 @@ class TestIndexRoundTrips:
         with pytest.raises(ValueError):
             RulesetVersion.from_bytes(b"junk")
 
-    def test_registry_to_bytes_round_trip(self):
-        registry = RulesetRegistry(namespace="tenant-a")
-        registry.publish(yara=compile_source(_RULES), label="v1")
-        v2 = registry.publish(yara=compile_source(_RULES), label="v2")
-        restored = RulesetRegistry.from_bytes(registry.to_bytes())
-        assert restored.namespace == "tenant-a"
-        current = restored.current()
-        assert current.version == v2.version
-        assert current.index.stats() == v2.index.stats()
-        for text in _HAYSTACKS:
-            assert current.index.yara_rule_names(text) == (
-                v2.index.yara_rule_names(text)
-            )
-
-    def test_registry_from_bytes_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            RulesetRegistry.from_bytes(b"RSV1 nope")
-
     def test_stats_report_packed_tables(self):
         stats = self._index().stats()
         assert stats.packed_mode == "dense"

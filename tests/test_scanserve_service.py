@@ -8,7 +8,6 @@ from repro.cli import main as cli_main
 from repro.evaluation.detector import PackageDetection, RuleScanner
 from repro.scanserve import (
     BoundedQueue,
-    DiskScanResultCache,
     RuleCostSample,
     RuleCostTracker,
     RulesetRegistry,
@@ -16,7 +15,7 @@ from repro.scanserve import (
     ScanScheduler,
     ScanService,
     ScanServiceConfig,
-    shard_items,
+    chunk_items,
 )
 from repro.yarax import compile_source
 
@@ -127,111 +126,6 @@ class TestScanResultCache:
         cache.put("a", 2, self._detection())
         assert cache.invalidate_version(1) == 2
         assert len(cache) == 1
-
-
-# -- persistent disk cache ----------------------------------------------------------
-
-
-class TestDiskScanResultCache:
-    def _detection(self, name="pkg==1.0"):
-        return PackageDetection(
-            package=name, actual_malicious=True,
-            yara_rules=["r1"], semgrep_rules=["s1"],
-        )
-
-    def test_roundtrip(self, tmp_path):
-        cache = DiskScanResultCache(tmp_path / "cache")
-        assert cache.get("fp", 1) is None
-        cache.put("fp", 1, self._detection())
-        hit = cache.get("fp", 1)
-        assert hit is not None
-        assert (hit.package, hit.yara_rules, hit.semgrep_rules) == (
-            "pkg==1.0", ["r1"], ["s1"],
-        )
-        assert cache.get("fp", 2) is None  # version isolation
-
-    def test_entries_survive_restart(self, tmp_path):
-        directory = tmp_path / "cache"
-        first = DiskScanResultCache(directory)
-        first.put("fp-a", 1, self._detection("a"))
-        first.put("fp-b", 1, self._detection("b"))
-        reborn = DiskScanResultCache(directory)  # fresh process attaches
-        assert len(reborn) == 2
-        assert reborn.get("fp-a", 1).package == "a"
-
-    def test_lru_eviction_deletes_files(self, tmp_path):
-        directory = tmp_path / "cache"
-        cache = DiskScanResultCache(directory, max_entries=2)
-        cache.put("a", 1, self._detection("a"))
-        cache.put("b", 1, self._detection("b"))
-        assert cache.get("a", 1) is not None  # refresh 'a'
-        cache.put("c", 1, self._detection("c"))
-        assert cache.get("b", 1) is None
-        assert cache.get("a", 1) is not None
-        assert len(list(directory.glob("*.json"))) == 2
-        assert cache.stats.evictions == 1
-
-    def test_corrupt_entries_dropped_on_load(self, tmp_path):
-        directory = tmp_path / "cache"
-        cache = DiskScanResultCache(directory)
-        cache.put("fp", 1, self._detection())
-        (directory / "garbage.json").write_text("{not json", encoding="utf-8")
-        reborn = DiskScanResultCache(directory)
-        assert len(reborn) == 1
-        assert not (directory / "garbage.json").exists()
-
-    def test_int_and_str_keys_never_serve_each_other(self, tmp_path):
-        """Filenames stringify the key, so 1 and "1" share a file; a typed
-        mismatch must read as a miss, not the other key's result."""
-        cache = DiskScanResultCache(tmp_path / "cache")
-        cache.put("fp", 1, self._detection("int-keyed"))
-        cache.put("fp", "1", self._detection("str-keyed"))
-        assert cache.get("fp", 1) is None  # overwritten file: miss, not a lie
-        assert cache.get("fp", "1").package == "str-keyed"
-
-    def test_invalidate_version_and_clear(self, tmp_path):
-        cache = DiskScanResultCache(tmp_path / "cache")
-        cache.put("a", 1, self._detection())
-        cache.put("b", 2, self._detection())
-        assert cache.invalidate_version(1) == 1
-        assert len(cache) == 1
-        cache.clear()
-        assert len(cache) == 0
-        assert not list((tmp_path / "cache").glob("*.json"))
-
-    def test_service_cache_survives_restart(self, generated_rules, small_dataset, tmp_path):
-        """A redeployed service keeps its warm cache via cache_dir."""
-        config = ScanServiceConfig(mode="inprocess", cache_dir=str(tmp_path / "cache"))
-        first = ScanService(config=config)
-        first.publish_generated(generated_rules)
-        cold = first.scan_batch(small_dataset.packages[:6])
-        assert cold.cache_hits == 0
-
-        reborn = ScanService(config=config)  # simulates a process restart
-        reborn.publish_generated(generated_rules)  # republished as v1 again
-        warm = reborn.scan_batch(small_dataset.packages[:6])
-        assert warm.cache_hits == 6
-        assert [
-            (d.package, d.yara_rules, d.semgrep_rules) for d in warm.detections
-        ] == [(d.package, d.yara_rules, d.semgrep_rules) for d in cold.detections]
-
-    def test_restart_with_different_rules_never_serves_stale_results(
-        self, small_dataset, tmp_path
-    ):
-        """Both processes publish *v1*, but different rules: results keyed on
-        the ruleset content digest must not leak across."""
-        config = ScanServiceConfig(mode="inprocess", cache_dir=str(tmp_path / "cache"))
-        first = ScanService(config=config)
-        first.publish(yara=_tiny_yara("catch_all", needle="import"))
-        hot = first.scan_batch(small_dataset.packages[:4])
-        assert all(d.matched_rules for d in hot.detections)
-
-        reborn = ScanService(config=config)
-        reborn.publish(yara=_tiny_yara("miss_all", needle="no_such_token_anywhere"))
-        assert reborn.registry.current().version == 1  # same version number!
-        fresh = reborn.scan_batch(small_dataset.packages[:4])
-        assert fresh.cache_hits == 0
-        assert all(not d.matched_rules for d in fresh.detections)
 
 
 # -- per-rule cost accounting --------------------------------------------------------
@@ -363,22 +257,20 @@ def _double_shard(shard):
 
 
 class TestScheduler:
-    def test_shard_items_round_robin(self):
-        shards = shard_items(["a", "b", "c", "d", "e"], 2)
-        assert shards == [[(0, "a"), (2, "c"), (4, "e")], [(1, "b"), (3, "d")]]
-
     def test_more_shards_than_items(self):
-        assert shard_items(["a"], 4) == [[(0, "a")]]
+        assert chunk_items([(0, "a")], 4) == [[(0, "a")]]
 
     def test_inprocess_run(self):
         scheduler = ScanScheduler(mode="inprocess")
-        report = scheduler.run(shard_items([1, 2, 3, 4], 2), _double_shard)
-        assert report.results == [[2, 6], [4, 8]]
+        chunks = chunk_items(list(enumerate([1, 2, 3, 4])), 2)
+        report = scheduler.run(chunks, _double_shard)
+        assert report.results == [[2, 4], [6, 8]]
         assert report.mode == "inprocess"
 
     def test_process_run_or_fallback(self):
         scheduler = ScanScheduler(mode="auto", max_workers=2)
-        report = scheduler.run(shard_items(list(range(8)), 4), _double_shard)
+        chunks = chunk_items(list(enumerate(range(8))), 2)
+        report = scheduler.run(chunks, _double_shard)
         flattened = sorted(v for shard in report.results for v in shard)
         assert flattened == [v * 2 for v in range(8)]
         assert report.mode in ("process", "inprocess")
@@ -399,8 +291,6 @@ class TestScheduler:
             queue.get()
 
     def test_chunk_items_contiguous_slices(self):
-        from repro.scanserve import chunk_items
-
         tagged = list(enumerate("abcde"))
         assert chunk_items(tagged, 2) == [
             [(0, "a"), (1, "b")],

@@ -4,6 +4,9 @@ crash injection mid-publish, and recovery without recompilation
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 import pytest
 
 from repro.api import GeneratedRule, GeneratedRuleSet, RulesetRegistry
@@ -358,16 +361,149 @@ class TestCompaction:
             assert recovered.current().rule_count == 1
 
 
+class TestSnapshotRecovery:
+    """Snapshots list the version blobs publish wrote and carry the rest of
+    the registry state as JSON; recovery rebuilds from them."""
+
+    def test_snapshot_after_publish_and_scan_writes_no_blob(self, tmp_path):
+        from repro.api import ScanService, ScanServiceConfig
+        from repro.corpus.package import Package, PackageFile, PackageMetadata
+
+        store, _ = _store(tmp_path)
+        with store:
+            registry = RulesetRegistry(store=store)
+            registry.publish_generated(_ruleset(_rule("r1", "evil_needle")), label="first")
+            registry.publish_generated(_ruleset(_rule("r2", "other_needle")), label="second")
+            service = ScanService(
+                registry=registry, config=ScanServiceConfig(mode="inprocess")
+            )
+            package = Package(
+                name="pkg",
+                version="1.0",
+                metadata=PackageMetadata(name="pkg"),
+                files=[PackageFile(path="setup.py", content="x = 'other_needle'")],
+            )
+            assert service.scan_batch([package]).detections[0].yara_rules == ["r2"]
+            before = store.blobs.stats()
+            manifest = registry.snapshot()
+            assert store.blobs.stats() == before
+            published = {
+                r.data["version"]: r.data["blob"]
+                for r in store.journal.replay() if r.type == "publish"
+            }
+            assert manifest.version_blobs == published
+
+    def test_compacted_store_keeps_numbering_tombstones_and_config(self, tmp_path):
+        store, _ = _store(tmp_path)
+        with store:
+            registry = RulesetRegistry(
+                store=store, namespace="acme", min_atom_length=4
+            )
+            for number in (1, 2, 3):
+                registry.publish_generated(
+                    _ruleset(_rule(f"r{number}", f"needle{number}")),
+                    label=f"v{number}",
+                )
+            registry.activate(2)
+            registry.retire(3, reason="noisy", retired_by="arena")
+            store.compact(registry)
+            # the publish records are gone: only the manifest remembers
+            assert not [r for r in store.journal.replay() if r.type == "publish"]
+
+        store, report = _store(tmp_path)
+        with store:
+            recovered = RulesetRegistry.from_store(store)
+            assert report.ok
+            assert recovered.versions() == [1, 2]
+            assert recovered.current_version() == 2
+            [tombstone] = recovered.retirements()
+            assert (tombstone.version, tombstone.reason, tombstone.retired_by) == (
+                3, "noisy", "arena",
+            )
+            assert tombstone.label == "v3" and tombstone.rule_count == 1
+            assert recovered.namespace == "acme"
+            assert recovered.min_atom_length == 4
+            assert not recovered.recovery_notes
+            again = recovered.publish_generated(_ruleset(_rule("r4", "needle4")))
+            assert again.version == 4
+
+    def test_undecodable_version_blob_is_noted_not_fatal(self, tmp_path):
+        """A manifest entry whose blob carries an older pickle layout (magic
+        ``RSV1``) is noted; the other versions still recover."""
+        store, _ = _store(tmp_path)
+        with store:
+            registry = RulesetRegistry(store=store)
+            first = registry.publish_generated(_ruleset(_rule("r1", "a")), label="first")
+            registry.publish_generated(_ruleset(_rule("r2", "b")), label="second")
+            manifest = registry.snapshot()
+            fresh = first.to_bytes()
+            old = store.blobs.put(b"RSV1" + fresh[len(b"RSV2"):])
+            store.write_manifest(
+                replace(manifest, version_blobs={**manifest.version_blobs, 1: old})
+            )
+
+        store, _ = _store(tmp_path)
+        with store:
+            recovered = RulesetRegistry.from_store(store)
+            assert recovered.versions() == [2]
+            assert recovered.current().label == "second"
+            assert len(recovered.recovery_notes) == 1
+            assert recovered.recovery_notes[0].startswith(
+                f"snapshot@{manifest.epoch} v1 unrecoverable"
+            )
+
+    def test_older_manifest_layout_recovers_versions_with_a_note(self, tmp_path):
+        """A manifest that still names a pickled whole-registry blob and
+        lacks numbering/tombstones recovers from its version blobs."""
+        store, _ = _store(tmp_path)
+        with store:
+            registry = RulesetRegistry(store=store)
+            registry.publish_generated(_ruleset(_rule("r1", "a")), label="first")
+            registry.publish_generated(_ruleset(_rule("r2", "b")), label="second")
+            registry.activate(1)
+            published = {
+                str(r.data["version"]): r.data["blob"]
+                for r in store.journal.replay() if r.type == "publish"
+            }
+            epoch = store.journal.last_epoch
+            older = {
+                "epoch": epoch,
+                "registry_blob": store.blobs.put(b"RSREG2 pickled registry"),
+                "version_blobs": published,
+                "current_version": 1,
+                "namespace": "",
+                "created_at": 1.0,
+            }
+            (store.manifests.directory / f"snapshot-{epoch:012d}.json").write_text(
+                json.dumps(older), encoding="utf-8"
+            )
+
+        store, report = _store(tmp_path)
+        with store:
+            assert report.ok
+            recovered = RulesetRegistry.from_store(store)
+            assert recovered.versions() == [1, 2]
+            assert recovered.current_version() == 1
+            assert recovered.current().label == "first"
+            assert len(recovered.recovery_notes) == 1
+            note = recovered.recovery_notes[0]
+            assert note.startswith(f"snapshot@{epoch}")
+            assert "tombstones" in note and "numbering" in note
+            assert recovered.publish_generated(_ruleset(_rule("r3", "c"))).version == 3
+
+
 class TestSnapshotManifest:
     def test_round_trip(self):
         manifest = SnapshotManifest(
             epoch=7,
-            registry_blob="a" * 64,
             version_blobs={1: "b" * 64, 2: "c" * 64},
             current_version=2,
             namespace="acme",
+            next_version=4,
+            min_atom_length=3,
+            retired=[{"version": 3, "reason": "noisy"}],
             created_at=123.0,
         )
         again = SnapshotManifest.from_dict(manifest.to_dict())
         assert again == manifest
-        assert again.referenced_blobs() == {"a" * 64, "b" * 64, "c" * 64}
+        assert again.referenced_blobs() == {"b" * 64, "c" * 64}
