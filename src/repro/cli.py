@@ -266,8 +266,7 @@ def _cmd_store(args) -> int:
             root, deep=getattr(args, "deep", False), create=False
         )
     except JournalCorruption as exc:
-        print(f"store {root} unrecoverable: {exc}", file=sys.stderr)
-        return 1
+        return _store_unrecoverable(root, exc)
 
     with store:
         if args.store_command == "fsck":
@@ -308,10 +307,18 @@ def _cmd_store(args) -> int:
             return 0
 
         if args.store_command == "compact":
-            outcome = store.compact()
+            try:
+                outcome = store.compact()
+            except JournalCorruption as exc:
+                return _store_unrecoverable(root, exc)
             print(outcome.describe())
             return 0
     return 2
+
+
+def _store_unrecoverable(root: Path, exc: Exception) -> int:
+    print(f"store {root} unrecoverable: {exc}", file=sys.stderr)
+    return 1
 
 
 # -- old registry directories (read only by 'store migrate') ------------------------
@@ -1087,7 +1094,7 @@ def _cmd_registry(args) -> int:
     """`rulellm registry` on a store: the registry is recovered from its
     snapshot + journal tail, and every change is journaled back."""
     from repro.scanserve import RulesetRegistry
-    from repro.store import open_store
+    from repro.store import JournalCorruption, open_store
     from repro.store.recovery import JOURNAL_DIR
 
     root = Path(args.dir)
@@ -1095,9 +1102,15 @@ def _cmd_registry(args) -> int:
         print(f"no store at {root}; import a v<N>/+ACTIVE registry directory "
               f"with 'rulellm store migrate {root} DEST'", file=sys.stderr)
         return 1
-    store, report = open_store(root, create=False)
+    try:
+        store, report = open_store(root, create=False)
+    except JournalCorruption as exc:
+        return _store_unrecoverable(root, exc)
     with store:
-        registry = RulesetRegistry.from_store(store)
+        try:
+            registry = RulesetRegistry.from_store(store)
+        except JournalCorruption as exc:
+            return _store_unrecoverable(root, exc)
         for note in registry.recovery_notes:
             print(f"note: {note}", file=sys.stderr)
 

@@ -11,6 +11,8 @@ Scan inputs (the YARA haystack and the parsed Semgrep target) are built once
 per package via :class:`PreparedPackage` and reused across rule sets — the
 evaluation suite scans the same corpus with many scanners, and
 :mod:`repro.scanserve` scans the same package against many ruleset versions.
+The only timing done here is the optional per-rule ``cost_sink``; batch
+timing belongs to the callers' ``repro.obs`` spans and metrics.
 """
 
 from __future__ import annotations
@@ -35,16 +37,14 @@ class PreparedPackage:
     (instead of once per package *per rule set*) is the detector hot-path fix.
     """
 
-    def __init__(self, package: Package, include_metadata_in_text: bool = True) -> None:
+    def __init__(self, package: Package) -> None:
         self.package = package
-        self.include_metadata_in_text = include_metadata_in_text
         self._yara_text: Optional[str] = None
         self._folded_text: Optional[str] = None
         self._folded_bytes: Optional[bytes] = None
         self._target: Optional[ScanTarget] = None
         self._fingerprint: Optional[str] = None
         self._metadata_json: Optional[str] = None
-        self.prepare_seconds = 0.0
 
     @property
     def metadata_json(self) -> str:
@@ -58,12 +58,7 @@ class PreparedPackage:
     def yara_text(self) -> str:
         """The haystack YARA rules scan (package text plus metadata JSON)."""
         if self._yara_text is None:
-            start = time.perf_counter()
-            text = self.package.all_text
-            if self.include_metadata_in_text:
-                text = text + "\n" + self.metadata_json
-            self._yara_text = text
-            self.prepare_seconds += time.perf_counter() - start
+            self._yara_text = self.package.all_text + "\n" + self.metadata_json
         return self._yara_text
 
     @property
@@ -75,9 +70,7 @@ class PreparedPackage:
         removes the per-engine-lane refolds the index used to pay.
         """
         if self._folded_text is None:
-            start = time.perf_counter()
             self._folded_text = self.yara_text.casefold()
-            self.prepare_seconds += time.perf_counter() - start
         return self._folded_text
 
     @property
@@ -88,30 +81,25 @@ class PreparedPackage:
         original string, so casefold length changes are safe.
         """
         if self._folded_bytes is None:
-            start = time.perf_counter()
             self._folded_bytes = self.folded_text.encode("utf-8", "surrogatepass")
-            self.prepare_seconds += time.perf_counter() - start
         return self._folded_bytes
 
     @property
     def target(self) -> ScanTarget:
         """The parsed Semgrep scan target."""
         if self._target is None:
-            start = time.perf_counter()
             self._target = ScanTarget.from_package(self.package)
-            self.prepare_seconds += time.perf_counter() - start
         return self._target
 
     @property
     def fingerprint(self) -> str:
         """Content digest identifying the scan inputs (for result caching).
 
-        Covers file paths *and* contents, the metadata JSON and the scan
-        configuration — two packages scan identically iff their fingerprints
-        are equal.
+        Covers file paths *and* contents and the metadata JSON — two
+        packages scan identically iff their fingerprints are equal.
         """
         if self._fingerprint is None:
-            parts = [self.package.identifier, str(self.include_metadata_in_text)]
+            parts = [self.package.identifier]
             for f in self.package.files:
                 parts.append(f.path)
                 parts.append(f.content)
@@ -121,32 +109,13 @@ class PreparedPackage:
 
 
 def prepare_packages(
-    packages: Iterable[Package], include_metadata_in_text: bool = True
+    packages: Iterable[Union[Package, PreparedPackage]],
 ) -> list[PreparedPackage]:
-    """Prepare a whole corpus for repeated scanning."""
-    return [PreparedPackage(p, include_metadata_in_text) for p in packages]
-
-
-@dataclass
-class ScanTimings:
-    """Wall-clock breakdown of a corpus scan (seconds)."""
-
-    prepare_seconds: float = 0.0
-    yara_seconds: float = 0.0
-    semgrep_seconds: float = 0.0
-    total_seconds: float = 0.0
-    packages: int = 0
-
-    @property
-    def packages_per_second(self) -> float:
-        return self.packages / self.total_seconds if self.total_seconds > 0 else 0.0
-
-    def merge(self, other: "ScanTimings") -> None:
-        self.prepare_seconds += other.prepare_seconds
-        self.yara_seconds += other.yara_seconds
-        self.semgrep_seconds += other.semgrep_seconds
-        self.total_seconds += other.total_seconds
-        self.packages += other.packages
+    """Prepare a whole corpus for repeated scanning (prepared packages pass
+    through unchanged)."""
+    return [
+        p if isinstance(p, PreparedPackage) else PreparedPackage(p) for p in packages
+    ]
 
 
 @dataclass
@@ -157,7 +126,6 @@ class PackageDetection:
     actual_malicious: bool
     yara_rules: list[str] = field(default_factory=list)
     semgrep_rules: list[str] = field(default_factory=list)
-    scan_seconds: float = field(default=0.0, compare=False)
 
     @property
     def matched_rules(self) -> list[str]:
@@ -177,7 +145,6 @@ class DetectionResult:
 
     detections: list[PackageDetection] = field(default_factory=list)
     match_threshold: int = 1
-    timings: ScanTimings = field(default_factory=ScanTimings, compare=False)
 
     def confusion(self, threshold: int | None = None) -> ConfusionMatrix:
         threshold = self.match_threshold if threshold is None else threshold
@@ -216,7 +183,6 @@ class RuleScanner:
         yara_rules: CompiledRuleSet | None = None,
         semgrep_rules: CompiledSemgrepRuleSet | None = None,
         match_threshold: int = 1,
-        include_metadata_in_text: bool = True,
         index: "object | None" = None,
     ) -> None:
         if yara_rules is None and semgrep_rules is None:
@@ -224,7 +190,6 @@ class RuleScanner:
         self.yara_rules = yara_rules
         self.semgrep_rules = semgrep_rules
         self.match_threshold = match_threshold
-        self.include_metadata_in_text = include_metadata_in_text
         self.index = index
 
     @classmethod
@@ -233,7 +198,6 @@ class RuleScanner:
         yara_rules: CompiledRuleSet | None = None,
         semgrep_rules: CompiledSemgrepRuleSet | None = None,
         match_threshold: int = 1,
-        include_metadata_in_text: bool = True,
     ) -> "RuleScanner":
         """Build a scanner that routes matching through an atom-prefilter index."""
         from repro.scanserve import RuleIndex
@@ -242,7 +206,6 @@ class RuleScanner:
             yara_rules=yara_rules,
             semgrep_rules=semgrep_rules,
             match_threshold=match_threshold,
-            include_metadata_in_text=include_metadata_in_text,
             index=RuleIndex(yara=yara_rules, semgrep=semgrep_rules),
         )
 
@@ -250,34 +213,22 @@ class RuleScanner:
     def scan_package(
         self,
         package: Union[Package, PreparedPackage],
-        timings: ScanTimings | None = None,
         cost_sink: "object | None" = None,
     ) -> PackageDetection:
         """Scan one package; ``cost_sink`` (any object with
         ``record(engine, rule_key, seconds, package)``, e.g. a
         :class:`repro.scanserve.telemetry.RuleCostSample`) receives per-rule
         evaluation timings without changing the detections."""
-        prepared = self._prepare(package)
-        started = time.perf_counter()
-        prepare_before = prepared.prepare_seconds
+        if self.index is not None:
+            return self.scan_prepared([package], cost_sink=cost_sink)[0]
+        [prepared] = prepare_packages([package])
         detection = PackageDetection(
             package=prepared.package.identifier,
             actual_malicious=prepared.package.is_malicious,
         )
         if self.yara_rules is not None and len(self.yara_rules):
             text = prepared.yara_text
-            yara_start = time.perf_counter()
-            if self.index is not None:
-                # names-only fast path: same verdicts, no RuleMatch payloads
-                names = set(
-                    self.index.yara_rule_names(
-                        text,
-                        cost_sink=cost_sink,
-                        package=detection.package,
-                        folded=prepared.folded_text,
-                    )
-                )
-            elif cost_sink is not None:
+            if cost_sink is not None:
                 # same verdicts as CompiledRuleSet.match, timed per rule
                 names = set()
                 for rule in self.yara_rules.rules:
@@ -292,14 +243,9 @@ class RuleScanner:
             else:
                 names = {m.rule_name for m in self.yara_rules.match(text)}
             detection.yara_rules = sorted(names)
-            if timings is not None:
-                timings.yara_seconds += time.perf_counter() - yara_start
         if self.semgrep_rules is not None and len(self.semgrep_rules):
             target = prepared.target
-            semgrep_start = time.perf_counter()
-            if self.index is not None:
-                findings = self.index.match_semgrep(target, cost_sink=cost_sink)
-            elif cost_sink is not None:
+            if cost_sink is not None:
                 findings = []
                 for compiled in self.semgrep_rules.rules:
                     rule_start = time.perf_counter()
@@ -311,27 +257,11 @@ class RuleScanner:
             else:
                 findings = self.semgrep_rules.match_target(target)
             detection.semgrep_rules = sorted({finding.rule_id for finding in findings})
-            if timings is not None:
-                timings.semgrep_seconds += time.perf_counter() - semgrep_start
-        detection.scan_seconds = time.perf_counter() - started
-        if timings is not None:
-            timings.prepare_seconds += prepared.prepare_seconds - prepare_before
-            timings.packages += 1
         return detection
-
-    def _prepare(self, package: Union[Package, PreparedPackage]) -> PreparedPackage:
-        if isinstance(package, PreparedPackage):
-            if package.include_metadata_in_text != self.include_metadata_in_text:
-                # prepared under a different config: rebuild rather than
-                # silently scanning the wrong haystack
-                return PreparedPackage(package.package, self.include_metadata_in_text)
-            return package
-        return PreparedPackage(package, self.include_metadata_in_text)
 
     def scan_prepared(
         self,
         packages: Iterable[Union[Package, PreparedPackage]],
-        timings: ScanTimings | None = None,
         cost_sink: "object | None" = None,
     ) -> list[PackageDetection]:
         """Scan a batch of packages, amortising the atom pass across it.
@@ -339,16 +269,11 @@ class RuleScanner:
         With an index attached, one :meth:`RuleIndex.hits_batch` call per
         engine lane replaces the per-package automaton/substring passes;
         candidate evaluation then reuses the precomputed folded haystacks
-        and hit sets.  Detections (content *and* order) are identical to
-        calling :meth:`scan_package` per package.
+        and hit sets.  Without one, each package is scanned naively.
         """
-        prepared_list = [self._prepare(p) for p in packages]
-        if self.index is None or len(prepared_list) <= 1:
-            return [
-                self.scan_package(p, timings=timings, cost_sink=cost_sink)
-                for p in prepared_list
-            ]
-        prepare_before = [p.prepare_seconds for p in prepared_list]
+        prepared_list = prepare_packages(packages)
+        if self.index is None:
+            return [self.scan_package(p, cost_sink=cost_sink) for p in prepared_list]
         detections = [
             PackageDetection(
                 package=p.package.identifier,
@@ -357,12 +282,8 @@ class RuleScanner:
             for p in prepared_list
         ]
         if self.yara_rules is not None and len(self.yara_rules):
-            batch_start = time.perf_counter()
             hits_list = self.index.hits_batch([p.folded_bytes for p in prepared_list])
-            share = (time.perf_counter() - batch_start) / len(prepared_list)
-            yara_start = time.perf_counter()
             for prepared, detection, hits in zip(prepared_list, detections, hits_list):
-                eval_start = time.perf_counter()
                 names = set(
                     self.index.yara_rule_names(
                         prepared.yara_text,
@@ -373,47 +294,23 @@ class RuleScanner:
                     )
                 )
                 detection.yara_rules = sorted(names)
-                detection.scan_seconds += time.perf_counter() - eval_start + share
-            if timings is not None:
-                timings.yara_seconds += time.perf_counter() - batch_start
         if self.semgrep_rules is not None and len(self.semgrep_rules):
-            semgrep_start = time.perf_counter()
             targets = [p.target for p in prepared_list]
             hits_list = self.index.hits_batch([t.folded_text for t in targets])
-            share = (time.perf_counter() - semgrep_start) / len(prepared_list)
-            for prepared, detection, target, hits in zip(
-                prepared_list, detections, targets, hits_list
-            ):
-                eval_start = time.perf_counter()
+            for detection, target, hits in zip(detections, targets, hits_list):
                 findings = self.index.match_semgrep(
                     target, cost_sink=cost_sink, hits=hits
                 )
                 detection.semgrep_rules = sorted(
                     {finding.rule_id for finding in findings}
                 )
-                detection.scan_seconds += time.perf_counter() - eval_start + share
-            if timings is not None:
-                timings.semgrep_seconds += time.perf_counter() - semgrep_start
-        if timings is not None:
-            for prepared, before in zip(prepared_list, prepare_before):
-                timings.prepare_seconds += prepared.prepare_seconds - before
-            timings.packages += len(prepared_list)
         return detections
 
     def scan(self, packages: Iterable[Union[Package, PreparedPackage]]) -> DetectionResult:
-        result = DetectionResult(match_threshold=self.match_threshold)
-        total_start = time.perf_counter()
-        if self.index is not None:
-            result.detections = self.scan_prepared(
-                list(packages), timings=result.timings
-            )
-        else:
-            for package in packages:
-                result.detections.append(
-                    self.scan_package(package, timings=result.timings)
-                )
-        result.timings.total_seconds = time.perf_counter() - total_start
-        return result
+        return DetectionResult(
+            detections=self.scan_prepared(packages),
+            match_threshold=self.match_threshold,
+        )
 
     def evaluate(self, packages: Iterable[Union[Package, PreparedPackage]]) -> ConfusionMatrix:
         """Scan and reduce straight to a confusion matrix."""

@@ -67,7 +67,6 @@ from repro.scanserve.service import (
     RescanDelta,
     ScanService,
     ScanServiceConfig,
-    ServiceStats,
 )
 
 __all__ = [
@@ -104,5 +103,4 @@ __all__ = [
     "RescanDelta",
     "ScanService",
     "ScanServiceConfig",
-    "ServiceStats",
 ]

@@ -35,9 +35,9 @@ from repro.yarax.compiler import CompiledRule, CompiledRuleSet
 from repro.yarax.matcher import CompiledString, ConditionEvaluator, RuleMatch
 
 #: Lane label reported by :attr:`RuleIndex.lane`, the ``lane`` span attribute
-#: and ``ServiceStats.lanes`` for the matcher's joined and walk lanes; below
-#: :data:`~repro.scanserve.packed.AUTOMATON_THRESHOLD` atoms the label is
-#: :data:`~repro.scanserve.packed.SUBSTRING_LANE`.
+#: and the ``repro_scan_batches_total{lane}`` counter for the matcher's joined
+#: and walk lanes; below :data:`~repro.scanserve.packed.AUTOMATON_THRESHOLD`
+#: atoms the label is :data:`~repro.scanserve.packed.SUBSTRING_LANE`.
 AUTOMATON_LANE = "automaton"
 
 

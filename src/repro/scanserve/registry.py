@@ -748,7 +748,10 @@ class RulesetRegistry:
         compilation happens on this path.  Records after the snapshot epoch
         are folded in one by one; publish records attach their version
         blobs the same compile-free way.  A blob that no longer decodes is
-        noted in ``recovery_notes`` and skipped.  An empty store yields an
+        noted in ``recovery_notes`` and skipped.  A manifest in the older
+        layout (no ``next_version``) is bypassed while the journal still
+        starts at epoch 1: replaying all of it restores the numbering and
+        tombstones that layout did not record.  An empty store yields an
         empty registry wired to journal future writes (the keyword
         arguments only matter where no snapshot carries its own
         configuration).
@@ -756,6 +759,14 @@ class RulesetRegistry:
         registry = cls(min_atom_length=min_atom_length, namespace=namespace)
         manifest = store.latest_manifest()
         after = 0
+        if manifest is not None and manifest.next_version is None:
+            first = next(store.journal.replay(), None)
+            if first is not None and first.epoch == 1:
+                # an older-layout manifest lacks numbering and tombstones,
+                # but no compaction has dropped the journal prefix that
+                # holds them: replay the whole journal instead
+                registry.namespace = manifest.namespace
+                manifest = None
         if manifest is not None:
             registry._restore_snapshot(store, manifest)
             after = manifest.epoch

@@ -41,7 +41,6 @@ class ShardStats:
     packages: int = 0
     matched_packages: int = 0
     seconds: float = 0.0
-    candidate_rules: int = 0
 
     @property
     def packages_per_second(self) -> float:

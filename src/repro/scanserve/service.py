@@ -35,7 +35,7 @@ from repro.evaluation.detector import (
     PackageDetection,
     PreparedPackage,
     RuleScanner,
-    ScanTimings,
+    prepare_packages,
 )
 from repro.scanserve.cache import ScanResultCache
 from repro.scanserve.registry import (
@@ -82,7 +82,6 @@ _SCAN_RESCANS = _METRICS.counter(
 # the in-process lane reuses the exact same functions against this module's
 # globals.
 _WORKER_SCANNER: Optional[RuleScanner] = None
-_WORKER_TRACK_COSTS: bool = False
 
 #: Sentinel telling ``_worker_init`` to read the payload from
 #: ``_PARENT_PAYLOAD`` instead of its argument — the fork-lane fast path.
@@ -96,12 +95,7 @@ _INHERIT_PAYLOAD = "__inherit_from_parent__"
 _PARENT_PAYLOAD = None
 
 
-def _worker_init(
-    ruleset,
-    match_threshold: int,
-    include_metadata_in_text: bool,
-    track_rule_costs: bool = False,
-) -> None:
+def _worker_init(ruleset, match_threshold: int) -> None:
     """Attach this worker to a published ruleset.
 
     ``ruleset`` is one of:
@@ -115,7 +109,7 @@ def _worker_init(
     * an ``(yara, semgrep, index)`` tuple of live objects for the in-process
       lane (no serialization round trip needed there).
     """
-    global _WORKER_SCANNER, _WORKER_TRACK_COSTS
+    global _WORKER_SCANNER
     if isinstance(ruleset, str) and ruleset == _INHERIT_PAYLOAD:
         assert _PARENT_PAYLOAD is not None, "no staged payload inherited"
         yara, semgrep, index = _PARENT_PAYLOAD
@@ -128,15 +122,11 @@ def _worker_init(
         yara_rules=yara,
         semgrep_rules=semgrep,
         match_threshold=match_threshold,
-        include_metadata_in_text=include_metadata_in_text,
         index=index,
     )
-    _WORKER_TRACK_COSTS = track_rule_costs
 
 
-def _scan_shard(
-    envelope,
-) -> tuple[list, ScanTimings, float, Optional[RuleCostSample], list]:
+def _scan_shard(envelope) -> tuple[list, RuleCostSample, float, list]:
     """Scan one chunk as a batch.
 
     ``envelope`` is ``(items, span_carrier)`` — the chunk plus the parent
@@ -144,7 +134,7 @@ def _scan_shard(
     off), so the process lane can emit ``scan.chunk`` spans that join the
     caller's trace.
 
-    Returns ``(indexed detections, timings, seconds, costs, span records)``;
+    Returns ``(indexed detections, rule costs, seconds, span records)``;
     shard-local telemetry rides home in the result tuple and the parent
     folds it back into service-level aggregates.
     """
@@ -152,10 +142,9 @@ def _scan_shard(
     assert _WORKER_SCANNER is not None, "worker not initialised"
     start_wall = time.time()
     started = time.perf_counter()
-    timings = ScanTimings()
-    costs = RuleCostSample() if _WORKER_TRACK_COSTS else None
+    costs = RuleCostSample()
     scanned = _WORKER_SCANNER.scan_prepared(
-        [package for _, package in shard], timings=timings, cost_sink=costs
+        [package for _, package in shard], cost_sink=costs
     )
     detections = [
         (position, detection)
@@ -173,26 +162,18 @@ def _scan_shard(
         )
         if record is not None:
             spans.append(record)
-    return detections, timings, seconds, costs, spans
+    return detections, costs, seconds, spans
 
 
 @dataclass
 class ScanServiceConfig:
     """Knobs of the scanning service."""
 
-    shards: int = 1
+    shards: int = 1  # one contiguous chunk, scanned as one batch, per shard
     mode: str = AUTO  # scheduler lane: auto | process | inprocess
-    max_workers: Optional[int] = None
     enable_cache: bool = True
-    cache_entries: int = 4096
     match_threshold: int = 1
-    include_metadata_in_text: bool = True
-    min_atom_length: int = 3
     use_index: bool = True  # False = naive per-rule scanning (for comparison)
-    track_rule_costs: bool = True  # per-rule timing telemetry (top_slow_rules)
-    chunk_size: Optional[int] = None  # packages per worker task; a chunk is
-    # scanned as one batch (atom pass amortised).  None = one contiguous
-    # chunk per shard; smaller chunks pipeline better on uneven packages
     recency_window: int = 256  # fingerprints remembered for live re-scan (0 = off)
     live_rescan: bool = False  # subscribe to the registry and re-scan on publish
 
@@ -278,24 +259,6 @@ class BatchScanResult:
 
 
 @dataclass
-class ServiceStats:
-    """Aggregate counters across the service's lifetime."""
-
-    batches: int = 0
-    packages_scanned: int = 0
-    cache_hits: int = 0
-    seconds: float = 0.0
-    rescans: int = 0
-    # how each batch was served: prefilter lane ("automaton" | "substring"),
-    # "naive" (index disabled), or "cache" (every package was a cache hit)
-    lanes: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def packages_per_second(self) -> float:
-        return self.packages_scanned / self.seconds if self.seconds > 0 else 0.0
-
-
-@dataclass
 class RescanDelta:
     """What changed when the recency window was re-scanned against a new
     ruleset version."""
@@ -362,10 +325,9 @@ class ScanService:
         # (freshly created, not-yet-published) registry is falsy and a bare
         # ``registry or ...`` would silently replace it
         if registry is None:
-            registry = RulesetRegistry(min_atom_length=self.config.min_atom_length)
+            registry = RulesetRegistry()
         self.registry = registry
-        self.cache = ScanResultCache(self.config.cache_entries)
-        self.stats = ServiceStats()
+        self.cache = ScanResultCache()
         self.rule_costs = RuleCostTracker()
         # recency ring: fingerprint -> last scan, oldest first
         self._recent: "OrderedDict[str, _RecentScan]" = OrderedDict()
@@ -391,8 +353,8 @@ class ScanService:
     def top_slow_rules(self, n: int = 10, by: str = "max") -> list[RuleCost]:
         """The most expensive rules seen so far (pathological-regex radar).
 
-        Populated whenever ``track_rule_costs`` is on (the default); rules
-        the prefilter index skipped cost nothing and never appear.
+        Every scan records per-rule costs; rules the prefilter index
+        skipped cost nothing and never appear.
         """
         return self.rule_costs.top_slow_rules(n, by=by)
 
@@ -480,20 +442,7 @@ class ScanService:
         prepared_by_position: dict[int, PreparedPackage] = {}
         cache_hits = 0
         if self.config.enable_cache:
-            for position, package in enumerate(packages):
-                if isinstance(package, PreparedPackage):
-                    prepared = package
-                    if (
-                        prepared.include_metadata_in_text
-                        != self.config.include_metadata_in_text
-                    ):
-                        prepared = PreparedPackage(
-                            prepared.package, self.config.include_metadata_in_text
-                        )
-                else:
-                    prepared = PreparedPackage(
-                        package, self.config.include_metadata_in_text
-                    )
+            for position, prepared in enumerate(prepare_packages(packages)):
                 fingerprints[position] = prepared.fingerprint
                 prepared_by_position[position] = prepared
                 cached = self.cache.get(prepared.fingerprint, ruleset.cache_key)
@@ -505,25 +454,16 @@ class ScanService:
         else:
             to_scan = list(enumerate(packages))
 
-        # 2. chunk the remainder across the worker pool.  A chunk is one
-        # worker task scanned as a single batch (the atom pass amortises
-        # over it); the default is one contiguous chunk per shard, so each
-        # worker receives exactly one task instead of per-package round
-        # trips.
+        # 2. chunk the remainder across the worker pool: one contiguous
+        # chunk per shard, scanned as a single batch (the atom pass
+        # amortises over it), so each worker receives exactly one task
+        # instead of per-package round trips.
         shard_stats: list[ShardStats] = []
         report = SchedulerReport()
         if to_scan:
             num_shards = max(1, self.config.shards)
-            chunk_size = self.config.chunk_size
-            if chunk_size is None or chunk_size < 1:
-                chunk_size = -(-len(to_scan) // num_shards)  # ceil division
-            chunks = chunk_items(to_scan, chunk_size)
-            scheduler = ScanScheduler(
-                mode=self.config.mode,
-                # chunks may outnumber shards (small chunk_size); the shard
-                # count stays the parallelism bound
-                max_workers=self.config.max_workers or num_shards,
-            )
+            chunks = chunk_items(to_scan, -(-len(to_scan) // num_shards))
+            scheduler = ScanScheduler(mode=self.config.mode, max_workers=num_shards)
             with tracer.span(
                 "scan.dispatch", chunks=len(chunks), mode=self.config.mode
             ):
@@ -537,19 +477,12 @@ class ScanService:
                     init_args=(
                         self._ruleset_payload(ruleset, worker_count=len(chunks)),
                         self.config.match_threshold,
-                        self.config.include_metadata_in_text,
-                        self.config.track_rule_costs,
                     ),
                 )
-            for shard_id, (
-                detections,
-                timings,
-                seconds,
-                costs,
-                span_records,
-            ) in enumerate(report.results):
-                if costs is not None:
-                    self.rule_costs.absorb(costs)
+            for shard_id, (detections, costs, seconds, span_records) in enumerate(
+                report.results
+            ):
+                self.rule_costs.absorb(costs)
                 if span_records:
                     tracer.absorb(span_records)
                 stats = ShardStats(shard_id=shard_id, seconds=seconds)
@@ -562,13 +495,11 @@ class ScanService:
                         self.cache.put(
                             fingerprints[position], ruleset.cache_key, detection
                         )
-                result.timings.merge(timings)
                 shard_stats.append(stats)
 
         assert all(detection is not None for detection in ordered)
         result.detections = list(ordered)  # type: ignore[arg-type]
         elapsed = time.perf_counter() - started
-        result.timings.total_seconds = elapsed
         batch = BatchScanResult(
             result=result,
             ruleset_version=ruleset.version,
@@ -580,15 +511,10 @@ class ScanService:
             workers=report.workers,
             fallback_error=report.fallback_error,
         )
-        self.stats.batches += 1
-        self.stats.packages_scanned += len(packages)
-        self.stats.cache_hits += cache_hits
-        self.stats.seconds += elapsed
         if to_scan:
             lane = ruleset.index.lane if self.config.use_index else "naive"
         else:
             lane = "cache"  # fully cache-served: the index never ran
-        self.stats.lanes[lane] = self.stats.lanes.get(lane, 0) + 1
         _SCAN_BATCHES.inc(lane=lane)
         _SCAN_PACKAGES.inc(len(packages))
         _SCAN_SECONDS.observe(elapsed)
@@ -728,7 +654,6 @@ class ScanService:
                         live.version = target
             delta.elapsed_seconds = time.perf_counter() - started
             self.rescans.append(delta)
-            self.stats.rescans += 1
         if self._on_delta is not None:
             self._on_delta(delta)
         return delta

@@ -24,6 +24,8 @@ Crash behavior on replay: a torn record at the *tail* of the last segment
 (the write the crash interrupted) is truncated away; a corrupt record in
 the *middle* of the stream is a real integrity failure — replay stops there
 and reports every dropped record rather than guessing at resynchronization.
+Only the last segment takes appends, so torn bytes at the end of a sealed
+segment are corruption too (bit rot in its final frame), never a torn tail.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from repro.obs.metrics import get_registry
 from repro.utils.atomic import fsync_dir
@@ -117,7 +119,7 @@ class SegmentScan:
     records: list[JournalRecord] = field(default_factory=list)
     valid_bytes: int = 0  # header + every intact frame
     torn_bytes: int = 0  # trailing bytes of an interrupted append
-    corrupt: bool = False  # bad header or mid-stream corruption
+    corrupt: bool = False  # bad header, mid-stream or sealed-segment damage
     error: str = ""
 
     @property
@@ -199,6 +201,24 @@ def scan_segment(path: Path) -> SegmentScan:
     if not scan.records:
         scan.valid_bytes = max(scan.valid_bytes, len(SEGMENT_MAGIC))
     return scan
+
+
+def scan_segments(paths: Sequence[Path]) -> Iterator[SegmentScan]:
+    """Scan a journal's segments in order, one file at a time.
+
+    Only the last segment takes appends, so torn bytes at the end of any
+    earlier one are no interrupted write but damage (bit rot in a sealed
+    segment's final frame): that segment's scan is marked corrupt.
+    """
+    for path in paths:
+        scan = scan_segment(path)
+        if scan.torn_bytes and path != paths[-1]:
+            scan.corrupt = True
+            scan.error = (
+                f"{scan.torn_bytes} torn byte(s) at offset {scan.valid_bytes} "
+                f"of a sealed segment"
+            )
+        yield scan
 
 
 class Journal:
@@ -370,20 +390,20 @@ class Journal:
         """Yield every intact record with ``epoch > after``, in order.
 
         Readable concurrently with appends (replay reads the files, not the
-        write handle); a torn tail — possible when replaying a directory a
-        crashed process left behind — simply ends the iteration, mid-stream
-        corruption raises :class:`JournalCorruption`.
+        write handle); a torn tail of the last segment — possible when
+        replaying a directory a crashed process left behind — simply ends
+        the iteration, mid-stream or sealed-segment corruption raises
+        :class:`JournalCorruption`.
         """
         with self._lock:
             if self._handle is not None:
                 self._handle.flush()
-        for path in self.segments():
-            scan = scan_segment(path)
+        for scan in scan_segments(self.segments()):
             for record in scan.records:
                 if record.epoch > after:
                     yield record
             if scan.corrupt:
-                raise JournalCorruption(f"{path.name}: {scan.error}")
+                raise JournalCorruption(f"{scan.path.name}: {scan.error}")
 
     def records_by_type(self, record_type: str, after: int = 0) -> list[JournalRecord]:
         return [r for r in self.replay(after=after) if r.type == record_type]
@@ -392,24 +412,24 @@ class Journal:
     def drop_segments_through(self, epoch: int) -> list[Path]:
         """Unlink sealed segments whose records are all ``<= epoch``.
 
-        The active (tail) segment is never dropped.  Returns the removed
-        paths; used by ``store compact`` after a snapshot makes the prefix
+        The active (tail) segment is never dropped, and neither is a
+        damaged segment or anything after it.  Returns the removed paths;
+        used by ``store compact`` after a snapshot makes the prefix
         redundant.
         """
         dropped: list[Path] = []
         with self._lock:
-            for path in self.segments():
-                if path == self._segment_path:
+            for scan in scan_segments(self.segments()):
+                if scan.path == self._segment_path:
                     continue
-                scan = scan_segment(path)
                 if scan.corrupt:
                     break
                 if scan.records and scan.last_epoch > epoch:
                     break
                 if not scan.records and self._last_epoch > epoch:
                     break
-                path.unlink()
-                dropped.append(path)
+                scan.path.unlink()
+                dropped.append(scan.path)
             if dropped and self.durable:
                 fsync_dir(self.directory)
         return dropped
@@ -436,4 +456,5 @@ __all__ = [
     "SNAPSHOT",
     "SegmentScan",
     "scan_segment",
+    "scan_segments",
 ]

@@ -33,7 +33,7 @@ from typing import Optional
 from repro.store.journal import (
     Journal,
     JournalCorruption,
-    scan_segment,
+    scan_segments,
 )
 from repro.store.snapshots import (
     BlobStore,
@@ -338,10 +338,11 @@ def open_store(
     """fsck-validate ``root`` and return an attached :class:`RuleStore`.
 
     Repairs performed: torn journal tails truncated, scratch files from
-    interrupted atomic writes swept, nothing else — corrupt mid-stream
-    segments and missing blobs are *reported* (``report.ok = False``), not
-    papered over.  ``deep=True`` re-hashes every blob against its address
-    (fsck's ``--deep``); the default only existence-checks the blobs the
+    interrupted atomic writes swept, nothing else — corrupt segments
+    (mid-stream damage, or torn bytes in a sealed segment) and missing
+    blobs are *reported* (``report.ok = False``), not papered over.
+    ``deep=True`` re-hashes every blob against its address (fsck's
+    ``--deep``); the default only existence-checks the blobs the
     latest manifest needs.
     """
     started = time.perf_counter()
@@ -357,8 +358,7 @@ def open_store(
     report.torn_bytes_truncated = journal.truncated_bytes
     segments = journal.segments()
     report.segments = len(segments)
-    for path in segments:
-        scan = scan_segment(path)
+    for scan in scan_segments(segments):
         report.records += len(scan.records)
         if scan.records:
             report.last_epoch = max(report.last_epoch, scan.last_epoch)
@@ -367,7 +367,7 @@ def open_store(
                 report.records_by_type.get(record.type, 0) + 1
             )
         if scan.corrupt:
-            report.corrupt_segments.append(f"{path.name}: {scan.error}")
+            report.corrupt_segments.append(f"{scan.path.name}: {scan.error}")
             report.ok = False
 
     blobs = BlobStore(root / BLOBS_DIR, durable=durable)

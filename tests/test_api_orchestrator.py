@@ -340,7 +340,7 @@ class TestLiveRescan:
         assert delta.cleared == []
         assert delta.unchanged == 1  # the clean package
         assert delta.has_changes and "re-scan v1 -> v2" in delta.describe()
-        assert service.stats.rescans == 1
+        assert len(service.rescans) == 1
 
     def test_rules_dropped_from_the_new_version_clear_detections(self):
         service = self._service()

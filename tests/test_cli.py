@@ -287,6 +287,45 @@ def _write_rule_dir(root, needle: str):
     )
 
 
+class TestDamagedStoreCli:
+    @pytest.mark.parametrize("frame", ["first", "last"])
+    def test_damaged_sealed_segment_exits_unrecoverable(
+        self, tmp_path, capsys, frame
+    ):
+        """One flipped byte in a sealed segment, in the first of its two
+        frames (mid-stream) or the last (reads like a torn append), makes
+        every registry command and compaction exit 1 with one line."""
+        from repro.scanserve import RulesetRegistry
+        from repro.store import open_store
+        from repro.store.journal import SEGMENT_MAGIC
+
+        root = tmp_path / "store"
+        store, _ = open_store(root, durable=False)
+        with store:
+            registry = RulesetRegistry(store=store)
+            for needle in ("needle_one", "needle_two", "needle_three"):
+                _write_rule_dir(tmp_path / needle, needle)
+                registry.publish_generated(GeneratedRuleSet.load(tmp_path / needle))
+                if needle == "needle_two":
+                    sealed = store.journal.rotate()
+        blob = bytearray(sealed.read_bytes())
+        blob[len(SEGMENT_MAGIC) + 10 if frame == "first" else -1] ^= 0xFF
+        sealed.write_bytes(bytes(blob))
+
+        capsys.readouterr()
+        for argv in (
+            ["registry", "list", str(root)],
+            ["registry", "activate", str(root), "1"],
+            ["registry", "retire", str(root), "1"],
+            ["store", "compact", str(root)],
+        ):
+            assert cli_main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"store {root} unrecoverable: {sealed.name}: "), err
+        assert cli_main(["store", "fsck", str(root)]) == 1
+        assert sealed.exists()
+
+
 class TestStoreMigrateCli:
     @pytest.fixture()
     def old_registry(self, tmp_path):

@@ -175,9 +175,9 @@ class TestProcessShardDispatch:
         assert _tree_is_connected(trace)
 
     def test_rule_telemetry_aggregates_across_process_shards(self):
-        # regression pin: per-rule costs and ScanTimings looked like they
-        # were dropped under process-shard chunked dispatch; they are in
-        # fact shipped back per chunk and merged on the parent
+        # regression pin: per-rule costs looked like they were dropped
+        # under process-shard chunked dispatch; they are in fact shipped
+        # back per chunk and merged on the parent
         packages_before = (
             get_registry()
             .counter("repro_scan_packages_total")
@@ -191,11 +191,6 @@ class TestProcessShardDispatch:
         batch = service.scan_batch(_targets("cost", count=8))
         assert batch.mode == "process"
         assert batch.packages == 8
-
-        timings = batch.result.timings
-        assert timings.packages == 8
-        assert timings.total_seconds > 0.0
-        assert timings.yara_seconds > 0.0
 
         top = service.top_slow_rules(5)
         assert top, "per-rule telemetry must survive process dispatch"

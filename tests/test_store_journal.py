@@ -156,6 +156,43 @@ class TestTornTail:
         assert scan.records == []
 
 
+class TestSealedSegments:
+    """Only the last segment takes appends: damage at the end of a sealed
+    segment is corruption, never a torn tail to drop in silence."""
+
+    def _damage_sealed(self, tmp_path):
+        with _journal(tmp_path) as journal:
+            journal.append("publish", {"version": 1})
+            sealed = journal.rotate()
+            journal.append("publish", {"version": 2})
+        blob = bytearray(sealed.read_bytes())
+        blob[-1] ^= 0xFF  # a payload byte of the sealed segment's only frame
+        sealed.write_bytes(bytes(blob))
+        return sealed
+
+    def test_torn_bytes_in_a_sealed_segment_are_corruption(self, tmp_path):
+        from repro.store.journal import scan_segments
+
+        sealed = self._damage_sealed(tmp_path)
+        assert scan_segment(sealed).torn_bytes  # alone it reads as torn
+        first, last = scan_segments(sorted(sealed.parent.glob("segment-*.wal")))
+        assert first.path == sealed and first.corrupt
+        assert "sealed segment" in first.error
+        assert not last.corrupt and not last.torn_bytes
+
+    def test_replay_raises(self, tmp_path):
+        sealed = self._damage_sealed(tmp_path)
+        with _journal(tmp_path) as journal:
+            with pytest.raises(JournalCorruption, match=sealed.name):
+                list(journal.replay())
+
+    def test_compaction_stops_there(self, tmp_path):
+        sealed = self._damage_sealed(tmp_path)
+        with _journal(tmp_path) as journal:
+            assert journal.drop_segments_through(99) == []
+        assert sealed.exists()
+
+
 class TestCorruption:
     def _segment(self, tmp_path):
         return sorted((tmp_path / "journal").glob("segment-*.wal"))[-1]

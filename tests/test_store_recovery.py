@@ -13,6 +13,7 @@ from repro.api import GeneratedRule, GeneratedRuleSet, RulesetRegistry
 from repro.store import (
     BlobStore,
     CrashPoint,
+    JournalCorruption,
     MissingBlob,
     SimulatedCrash,
     SnapshotManifest,
@@ -104,6 +105,29 @@ class TestOpenStore:
         with store:
             assert report.stray_files_removed >= 1
             assert not stray.exists()
+
+    def test_torn_sealed_segment_is_reported_not_dropped(self, tmp_path):
+        """Bit rot in a sealed segment's last frame is damage: fsck lists
+        it and recovery refuses instead of serving only the later versions."""
+        store, _ = _store(tmp_path)
+        with store:
+            registry = RulesetRegistry(store=store)
+            registry.publish_generated(_ruleset(_rule("r1", "a")), label="v1")
+            sealed = store.journal.rotate()
+            registry.publish_generated(_ruleset(_rule("r2", "b")), label="v2")
+        blob = bytearray(sealed.read_bytes())
+        blob[-1] ^= 0xFF
+        sealed.write_bytes(bytes(blob))
+
+        store, report = _store(tmp_path)
+        with store:
+            assert not report.ok
+            assert report.torn_bytes_truncated == 0
+            [damage] = report.corrupt_segments
+            assert damage.startswith(f"{sealed.name}: ")
+            assert "sealed segment" in damage
+            with pytest.raises(JournalCorruption):
+                RulesetRegistry.from_store(store)
 
     def test_deep_fsck_spots_decayed_blob(self, tmp_path):
         store, _ = _store(tmp_path)
@@ -452,31 +476,72 @@ class TestSnapshotRecovery:
                 f"snapshot@{manifest.epoch} v1 unrecoverable"
             )
 
-    def test_older_manifest_layout_recovers_versions_with_a_note(self, tmp_path):
-        """A manifest that still names a pickled whole-registry blob and
-        lacks numbering/tombstones recovers from its version blobs."""
+    def test_older_manifest_layout_with_its_journal_replays_the_journal(
+        self, tmp_path
+    ):
+        """While the journal still starts at epoch 1, a manifest that names
+        a pickled whole-registry blob and lacks numbering/tombstones is
+        bypassed: the whole journal replays, with no note."""
         store, _ = _store(tmp_path)
         with store:
             registry = RulesetRegistry(store=store)
             registry.publish_generated(_ruleset(_rule("r1", "a")), label="first")
             registry.publish_generated(_ruleset(_rule("r2", "b")), label="second")
             registry.activate(1)
-            published = {
-                str(r.data["version"]): r.data["blob"]
-                for r in store.journal.replay() if r.type == "publish"
-            }
-            epoch = store.journal.last_epoch
-            older = {
-                "epoch": epoch,
-                "registry_blob": store.blobs.put(b"RSREG2 pickled registry"),
-                "version_blobs": published,
-                "current_version": 1,
-                "namespace": "",
-                "created_at": 1.0,
-            }
-            (store.manifests.directory / f"snapshot-{epoch:012d}.json").write_text(
-                json.dumps(older), encoding="utf-8"
+            _write_older_manifest(store, current_version=1)
+
+        store, report = _store(tmp_path)
+        with store:
+            assert report.ok
+            recovered = RulesetRegistry.from_store(store)
+            assert recovered.versions() == [1, 2]
+            assert recovered.current_version() == 1
+            assert recovered.current().label == "first"
+            assert not recovered.recovery_notes
+            assert recovered.publish_generated(_ruleset(_rule("r3", "c"))).version == 3
+
+    def test_older_manifest_layout_keeps_the_journal_tombstones(self, tmp_path):
+        """v1-v3 published, v2 activated, v3 retired, an older-layout
+        manifest, no compaction: the retirement and the numbering survive."""
+        store, _ = _store(tmp_path)
+        with store:
+            registry = RulesetRegistry(store=store, namespace="acme")
+            for number in (1, 2, 3):
+                registry.publish_generated(
+                    _ruleset(_rule(f"r{number}", f"needle{number}")),
+                    label=f"v{number}",
+                )
+            registry.activate(2)
+            registry.retire(3, reason="noisy", retired_by="arena")
+            _write_older_manifest(store, current_version=2, namespace="acme")
+
+        store, _ = _store(tmp_path)
+        with store:
+            recovered = RulesetRegistry.from_store(store)
+            assert recovered.versions() == [1, 2]
+            assert recovered.current_version() == 2
+            [tombstone] = recovered.retirements()
+            assert (tombstone.version, tombstone.reason, tombstone.retired_by) == (
+                3, "noisy", "arena",
             )
+            assert recovered.namespace == "acme"
+            assert not recovered.recovery_notes
+            again = recovered.publish_generated(_ruleset(_rule("r4", "needle4")))
+            assert again.version == 4
+
+    def test_older_manifest_layout_recovers_versions_with_a_note(self, tmp_path):
+        """Once compaction has dropped the journal prefix, an older-layout
+        manifest recovers from its version blobs, with a note."""
+        store, _ = _store(tmp_path)
+        with store:
+            registry = RulesetRegistry(store=store)
+            registry.publish_generated(_ruleset(_rule("r1", "a")), label="first")
+            registry.publish_generated(_ruleset(_rule("r2", "b")), label="second")
+            registry.activate(1)
+            epoch = _write_older_manifest(store, current_version=1)
+            store.journal.rotate()
+            store.journal.append("snapshot", {"epoch": epoch})
+            assert store.journal.drop_segments_through(epoch)
 
         store, report = _store(tmp_path)
         with store:
@@ -490,6 +555,31 @@ class TestSnapshotRecovery:
             assert note.startswith(f"snapshot@{epoch}")
             assert "tombstones" in note and "numbering" in note
             assert recovered.publish_generated(_ruleset(_rule("r3", "c"))).version == 3
+
+
+def _write_older_manifest(store, current_version: int, namespace: str = "") -> int:
+    """Write a snapshot manifest in the older layout (a pickled
+    whole-registry blob plus the live version blobs, no numbering or
+    tombstones) at the journal's last epoch; returns that epoch."""
+    live = {}
+    for record in store.journal.replay():
+        if record.type == "publish":
+            live[str(record.data["version"])] = record.data["blob"]
+        elif record.type == "retire":
+            live.pop(str(record.data["version"]), None)
+    epoch = store.journal.last_epoch
+    older = {
+        "epoch": epoch,
+        "registry_blob": store.blobs.put(b"RSREG2 pickled registry"),
+        "version_blobs": live,
+        "current_version": current_version,
+        "namespace": namespace,
+        "created_at": 1.0,
+    }
+    (store.manifests.directory / f"snapshot-{epoch:012d}.json").write_text(
+        json.dumps(older), encoding="utf-8"
+    )
+    return epoch
 
 
 class TestSnapshotManifest:
