@@ -17,8 +17,9 @@ deterministically under a fixed seed:
 3. **refeed** — the malicious packages the ruleset *missed* go back
    through a generation session; the refined rules merge with the healthy
    survivors into a successor version that out-scores what it replaced,
-4. **durability** — the leaderboard (scores, trends, ranks) survives a
-   runner restart byte-for-byte,
+4. **durability** — every round is journaled to a store, and a runner
+   restarted on it rebuilds the leaderboard (scores, trends, ranks,
+   statuses) exactly,
 5. **auto mode** — a runner subscribed to the registry's publish bus
    scores newly activated versions with no glue code.
 
@@ -37,7 +38,6 @@ from repro.api import GenerationSession
 from repro.arena import (
     ArenaConfig,
     ArenaRunner,
-    Leaderboard,
     LifecyclePolicy,
     ReplayTraffic,
     TrafficConfig,
@@ -45,14 +45,15 @@ from repro.arena import (
 from repro.core.config import RuleLLMConfig
 from repro.corpus import DatasetConfig, build_dataset
 from repro.scanserve import ScanService, ScanServiceConfig
+from repro.store import open_store
 
 SEED = 1633
 DECAY_THRESHOLD = 0.4
 
 
 def main() -> None:
-    state_dir = Path(tempfile.mkdtemp(prefix="rule_arena_"))
-    board_path = state_dir / "leaderboard.json"
+    store_dir = Path(tempfile.mkdtemp(prefix="rule_arena_")) / "store"
+    store, _ = open_store(store_dir)
 
     # -- baseline: generate and publish rules from the plain corpus -------------
     dataset = build_dataset(DatasetConfig(scale=0.02, seed=SEED))
@@ -75,20 +76,16 @@ def main() -> None:
         obfuscation_base=0.0,
         obfuscation_step=1.0,  # round 0 plain, round 1+ all wrapped
     ))
-    runner = ArenaRunner(
-        service,
-        traffic,
-        leaderboard=Leaderboard(path=board_path),
-        policy=LifecyclePolicy(
-            decay_threshold=DECAY_THRESHOLD,
-            flag_after=1,
-            quarantine_after=1,
-            retire_after=2,
-        ),
-        # strict policy: precision alone, silent rules score 0 — the crispest
-        # view of "this rule stopped firing when the packaging changed"
-        config=ArenaConfig(policy="strict", seed=SEED),
+    policy = LifecyclePolicy(
+        decay_threshold=DECAY_THRESHOLD,
+        flag_after=1,
+        quarantine_after=1,
+        retire_after=2,
     )
+    # strict policy: precision alone, silent rules score 0 — the crispest
+    # view of "this rule stopped firing when the packaging changed"
+    config = ArenaConfig(policy="strict", seed=SEED)
+    runner = ArenaRunner(service, traffic, policy=policy, config=config, store=store)
     runner.register_sources(baseline.version.version, baseline.rule_set)
     namespace = service.registry.namespace
 
@@ -134,14 +131,17 @@ def main() -> None:
           f"(rank {best_entry.rank}) vs retired {victim.score:.3f} "
           f"(rank {victim.rank})")
 
-    # 4: a restarted runner reloads the exact same standings
-    reloaded = Leaderboard(path=board_path)
-    assert len(reloaded) == len(runner.leaderboard)
-    for entry in runner.leaderboard.rankings():
-        twin = reloaded.entry(entry.namespace, entry.rule)
-        assert twin is not None and twin.rank == entry.rank
-        assert [round(s, 6) for s in entry.trend] == twin.trend
-    print(f"restart: leaderboard of {len(reloaded)} entries survives reload")
+    # 4: a runner restarted on the reopened store rebuilds the exact standings
+    store.close()
+    store, _ = open_store(store_dir)
+    restarted = ArenaRunner(
+        service, traffic, policy=policy, config=config, store=store
+    )
+    assert restarted.leaderboard.to_dict() == runner.leaderboard.to_dict()
+    assert restarted.next_round_index == runner.next_round_index
+    print(f"restart: leaderboard of {len(restarted.leaderboard)} entries "
+          f"rebuilt from {restarted.next_round_index} journaled rounds")
+    runner = restarted
 
     # 5: auto mode — an activated publish is scored with no glue code
     rounds_before = len(runner.history)
@@ -161,6 +161,8 @@ def main() -> None:
         runner.stop(drain=True)
     print(f"auto mode: publish triggered round {runner.history[-1].index} "
           f"against v{runner.history[-1].version}")
+
+    store.close()
 
     print("\nleaderboard:")
     print(runner.leaderboard.describe(limit=8))

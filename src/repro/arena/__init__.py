@@ -2,14 +2,17 @@
 
 Replays seeded adversarial + benign traffic against published ruleset
 versions, scores every rule under a pluggable policy, ranks them on a
-persistent leaderboard, walks decayed rules through
-flag → quarantine → retire, and feeds the misses back through a
-generation session so the successor version out-scores what it replaced.
+leaderboard, walks decayed rules through flag → quarantine → retire, and
+feeds the misses back through a generation session so the successor
+version out-scores what it replaced.  With a store every round is
+journaled, and a restarted runner rebuilds its leaderboard from them.
 
-    from repro.arena import ArenaRunner, Leaderboard, ReplayTraffic, TrafficConfig
+    from repro.arena import ArenaRunner, ReplayTraffic, TrafficConfig
+    from repro.store import open_store
 
+    store, _ = open_store(path)
     traffic = ReplayTraffic(malware, TrafficConfig(seed=7, obfuscation_step=0.5))
-    runner = ArenaRunner(service, traffic, leaderboard=Leaderboard(path))
+    runner = ArenaRunner(service, traffic, store=store)
     runner.register_sources(version.version, rule_set)
     record = runner.run_round()          # or runner.start() for auto mode
 """
@@ -23,7 +26,7 @@ from repro.arena.lifecycle import (
     RuleHealth,
     refine_rules,
 )
-from repro.arena.runner import ArenaConfig, ArenaRound, ArenaRunner
+from repro.arena.runner import ArenaConfig, ArenaRound, ArenaRunner, replay_rounds
 from repro.arena.scoring import (
     SCORING_POLICIES,
     RuleScore,
@@ -62,6 +65,7 @@ __all__ = [
     "mutate_package",
     "obfuscate_source",
     "refine_rules",
+    "replay_rounds",
     "score_batches",
     "score_rules",
     "scoring_policy",

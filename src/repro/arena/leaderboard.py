@@ -1,33 +1,35 @@
-"""Persistent per-rule leaderboard with trend history and rank deltas.
+"""Per-rule leaderboard with trend history and rank deltas.
 
 The leaderboard is the arena's memory: every round folds its
-:class:`~repro.arena.scoring.RuleScore` s in, entries keyed by
+``(rule, score)`` verdicts in, entries keyed by
 ``(registry namespace, rule name)`` so multi-tenant gateways share one
 board without collisions.  Each entry keeps a bounded score trend (the
-last ``trend_limit`` rounds), its best score, the round it last competed
-in, and its rank before/after the latest fold — the rank delta is what a
-human watches to spot decay before the lifecycle policy acts.
+last :data:`TREND_LIMIT` rounds), its best score, the round it last
+competed in, and its rank before/after the latest fold — the rank delta is
+what a human watches to spot decay before the lifecycle policy acts.
 
 Ranking is deterministic: score descending, ties broken by rule name then
 namespace, scores compared at 9 decimal places so float noise cannot make
 two runs disagree.
 
-Persistence is JSON-on-disk through :func:`repro.utils.atomic.
-atomic_write_text` (fsync file, atomic rename, fsync directory), so a
-crashed runner never leaves a half-written board and a restarted runner
-reloads rank history and trends exactly where they stood.
+The board is derived data: it lives in memory, and what makes it durable
+is the store.  An :class:`~repro.arena.runner.ArenaRunner` on a
+:class:`~repro.store.RuleStore` journals each round's exact scores and
+lifecycle statuses, and folding those records back through
+:meth:`Leaderboard.record_round` rebuilds the board exactly where it stood.
+Compaction folds the rounds it carries into one exact
+:meth:`Leaderboard.state` dump, which :meth:`Leaderboard.restore` reads
+back, so a compacted journal holds the board once instead of every
+round's scores.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
-from repro.arena.scoring import RuleScore
-from repro.utils.atomic import atomic_write_text
+#: Score-trend entries each rule keeps (the newest win).
+TREND_LIMIT = 32
 
 #: Entry statuses mirrored from the lifecycle tracker.
 ACTIVE = "active"
@@ -52,10 +54,6 @@ class LeaderboardEntry:
     trend: List[float] = field(default_factory=list)
 
     @property
-    def key(self) -> Tuple[str, str]:
-        return (self.namespace, self.rule)
-
-    @property
     def rank_delta(self) -> int:
         """Positive = climbed since the previous round, negative = dropped."""
         if not self.previous_rank or not self.rank:
@@ -77,21 +75,6 @@ class LeaderboardEntry:
             "trend": [round(value, 6) for value in self.trend],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LeaderboardEntry":
-        return cls(
-            namespace=str(data.get("namespace", "")),
-            rule=str(data["rule"]),
-            score=float(data.get("score", 0.0)),
-            best_score=float(data.get("best_score", 0.0)),
-            rounds=int(data.get("rounds", 0)),
-            rank=int(data.get("rank", 0)),
-            previous_rank=int(data.get("previous_rank", 0)),
-            status=str(data.get("status", ACTIVE)),
-            last_round=int(data.get("last_round", -1)),
-            trend=[float(value) for value in data.get("trend", [])],
-        )
-
     def describe(self) -> str:
         delta = self.rank_delta
         arrow = "=" if not delta else (f"+{delta}" if delta > 0 else str(delta))
@@ -106,49 +89,60 @@ class LeaderboardEntry:
 
 
 class Leaderboard:
-    """In-memory board, optionally mirrored to a JSON file."""
+    """In-memory board; rebuilt from journaled rounds after a restart."""
 
-    def __init__(
-        self, path: Optional[os.PathLike] = None, trend_limit: int = 32
-    ) -> None:
-        if trend_limit < 1:
-            raise ValueError("trend_limit must be >= 1")
-        self.path = Path(path) if path is not None else None
-        self.trend_limit = trend_limit
+    def __init__(self) -> None:
         self.rounds_recorded = 0
         self._entries: dict[Tuple[str, str], LeaderboardEntry] = {}
-        if self.path is not None and self.path.exists():
-            self._load(self.path)
 
     # -- folding --------------------------------------------------------------------
     def record_round(
         self,
-        scores: Iterable[RuleScore],
+        scores: Iterable[Tuple[str, float]],
         round_index: int,
         namespace: str = "",
+        statuses: Iterable[Tuple[str, str]] = (),
     ) -> List[LeaderboardEntry]:
-        """Fold one round's verdicts in, re-rank, and persist.
+        """Fold one round's ``(rule, score)`` pairs in, re-rank, then apply
+        its ``(rule, status)`` lifecycle changes.
 
         Entries not covered by ``scores`` (rules of other namespaces or of
         retired versions) keep their standing and are re-ranked against
         the fresh scores.  Returns the full board in rank order.
         """
-        for verdict in scores:
-            key = (namespace, verdict.rule)
+        for rule, score in scores:
+            key = (namespace, rule)
             entry = self._entries.get(key)
             if entry is None:
-                entry = LeaderboardEntry(namespace=namespace, rule=verdict.rule)
+                entry = LeaderboardEntry(namespace=namespace, rule=rule)
                 self._entries[key] = entry
-            entry.score = verdict.score
-            entry.best_score = max(entry.best_score, verdict.score)
+            entry.score = score
+            entry.best_score = max(entry.best_score, score)
             entry.rounds += 1
             entry.last_round = round_index
-            entry.trend.append(verdict.score)
-            del entry.trend[: -self.trend_limit]
+            entry.trend.append(score)
+            del entry.trend[:-TREND_LIMIT]
         self.rounds_recorded += 1
         self._rerank()
-        self.save()
+        for rule, status in statuses:  # lifecycle actions name scored rules
+            self._entries[(namespace, rule)].status = status
         return self.rankings()
+
+    def state(self) -> dict:
+        """Exact, unrounded dump of the board (:meth:`to_dict` rounds for
+        display); :meth:`restore` reads it back."""
+        return {
+            "rounds_recorded": self.rounds_recorded,
+            "entries": [asdict(entry) for entry in self._entries.values()],
+        }
+
+    def restore(self, state: dict) -> None:
+        """Replace the whole board with a :meth:`state` dump."""
+        self.rounds_recorded = state["rounds_recorded"]
+        self._entries = {}
+        for fields in state["entries"]:
+            entry = LeaderboardEntry(**fields)
+            self._entries[(entry.namespace, entry.rule)] = entry
 
     def _rerank(self) -> None:
         ordered = sorted(
@@ -162,13 +156,6 @@ class Leaderboard:
     # -- lookups --------------------------------------------------------------------
     def entry(self, namespace: str, rule: str) -> Optional[LeaderboardEntry]:
         return self._entries.get((namespace, rule))
-
-    def set_status(self, namespace: str, rule: str, status: str) -> bool:
-        entry = self._entries.get((namespace, rule))
-        if entry is None:
-            return False
-        entry.status = status
-        return True
 
     def rankings(
         self, namespace: Optional[str] = None, limit: Optional[int] = None
@@ -185,37 +172,11 @@ class Leaderboard:
         lines = [entry.describe() for entry in self.rankings(limit=limit)]
         return "\n".join(lines) if lines else "(empty leaderboard)"
 
-    # -- persistence -----------------------------------------------------------------
     def to_dict(self) -> dict:
         return {
-            "trend_limit": self.trend_limit,
             "rounds_recorded": self.rounds_recorded,
             "entries": [entry.to_dict() for entry in self.rankings()],
         }
-
-    def save(self, path: Optional[os.PathLike] = None) -> Optional[Path]:
-        """Atomically write the board; no-op without a path."""
-        target = Path(path) if path is not None else self.path
-        if target is None:
-            return None
-        target.parent.mkdir(parents=True, exist_ok=True)
-        # durable: the board is long-lived state a restarted runner reloads,
-        # so the write fsyncs the file and its directory entry
-        atomic_write_text(
-            target, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        return target
-
-    def _load(self, path: Path) -> None:
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"unreadable leaderboard file {path}: {exc}") from exc
-        self.rounds_recorded = int(data.get("rounds_recorded", 0))
-        for raw in data.get("entries", []):
-            entry = LeaderboardEntry.from_dict(raw)
-            del entry.trend[: -self.trend_limit]
-            self._entries[entry.key] = entry
 
 
 __all__ = [
@@ -225,4 +186,5 @@ __all__ = [
     "LeaderboardEntry",
     "QUARANTINED",
     "RETIRED",
+    "TREND_LIMIT",
 ]

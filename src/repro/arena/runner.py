@@ -7,7 +7,7 @@ One *round* is the whole quality loop over one ruleset version:
    :meth:`~repro.scanserve.service.ScanService.scan_batch`;
 2. **score** — fold the chunk results into per-rule verdicts under the
    configured scoring policy (:mod:`repro.arena.scoring`);
-3. **rank** — fold the verdicts into the persistent leaderboard
+3. **rank** — fold the verdicts into the leaderboard
    (:mod:`repro.arena.leaderboard`);
 4. **retire** — walk the lifecycle tracker; when a rule crosses the
    retire threshold, publish a successor version *without* it and stamp a
@@ -29,6 +29,13 @@ Successor publishes need the retired version's rule *sources* (compiled
 versions keep only matchers).  Callers that publish through a session or
 orchestrator hand the rule set over via :meth:`register_sources`; without
 sources the successor carries the refined rules alone.
+
+On a :class:`~repro.store.RuleStore` every round is journaled as one
+``arena-round`` record carrying its exact ``(rule, score)`` pairs and
+``(rule, status)`` lifecycle changes; a restarted runner folds them back
+(:func:`replay_rounds`), so it continues the round numbering and ranks
+exactly where the last run stopped.  Compaction carries the rounds as
+summaries plus one folded board (:func:`fold_rounds`).
 """
 
 from __future__ import annotations
@@ -37,9 +44,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from json import dumps as json_dumps
-from pathlib import Path
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from repro.arena.leaderboard import Leaderboard
 from repro.arena.lifecycle import (
@@ -65,9 +70,15 @@ from repro.scanserve.registry import (
     merge_shard_rulesets,
 )
 from repro.scanserve.service import ScanService
-from repro.utils.atomic import atomic_write_text
+from repro.store.journal import ARENA_ROUND
 
 _STOP = object()  # worker-queue sentinel
+
+#: Rounds kept in :attr:`ArenaRunner.history` (the journal keeps them all).
+HISTORY_LIMIT = 32
+
+#: ``arena-round`` keys compaction folds into one board (:func:`fold_rounds`).
+_FOLDED = ("scores", "statuses", "board")
 
 
 @dataclass
@@ -75,18 +86,9 @@ class ArenaConfig:
     """Knobs of the standing arena."""
 
     policy: str = "weighted"
-    history_limit: int = 32  # rounds kept in memory / in the history file
     refeed: bool = True  # regenerate from misses when retirement fires
-    refeed_min_packages: int = 1
-    coverage_saturation: int = 3  # forwarded to the weighted policy
     model: str = "gpt-4o"  # generation profile of refeed sessions
     seed: int = 1633
-
-    def __post_init__(self) -> None:
-        if self.history_limit < 1:
-            raise ValueError("history_limit must be >= 1")
-        if self.refeed_min_packages < 1:
-            raise ValueError("refeed_min_packages must be >= 1")
 
 
 @dataclass
@@ -150,38 +152,32 @@ class ArenaRunner:
         self,
         service: ScanService,
         traffic: ReplayTraffic,
-        leaderboard: Optional[Leaderboard] = None,
         policy: Optional[LifecyclePolicy] = None,
         config: Optional[ArenaConfig] = None,
-        history_path: Optional[Path] = None,
         provider=None,
         store=None,
     ) -> None:
         self.service = service
         self.registry = service.registry
         self.traffic = traffic
-        # explicit None check: an empty Leaderboard is falsy (it has __len__)
-        self.leaderboard = leaderboard if leaderboard is not None else Leaderboard()
+        self.leaderboard = Leaderboard()
         self.config = config or ArenaConfig()
         self.tracker = LifecycleTracker(policy)
         self.corpus = RefinementCorpus()
         self.history: List[ArenaRound] = []
-        self.history_path = Path(history_path) if history_path else None
         self._provider = provider  # refeed sessions reuse one LLM provider
         self._sources: dict[int, object] = {}  # version -> GeneratedRuleSet
         #: Optional :class:`repro.store.RuleStore`: every round appends an
-        #: ``arena-round`` record, and a restarted runner continues its
-        #: round numbering from the journal instead of starting over at 0
-        #: (the traffic's per-round seeds and the leaderboard's round
-        #: indexes both key off it).
+        #: ``arena-round`` record, and a restarted runner folds them back
+        #: into its leaderboard and continues the round numbering instead
+        #: of starting over at 0 (the traffic's per-round seeds and the
+        #: leaderboard's round indexes both key off it).
         self.store = store
         self._round_counter = 0
         if store is not None:
-            for record in store.journal.replay():
-                if record.type == "arena-round":
-                    self._round_counter = max(
-                        self._round_counter, int(record.data.get("index", -1)) + 1
-                    )
+            self._round_counter = replay_rounds(
+                store.journal.records_by_type(ARENA_ROUND), self.leaderboard
+            )
         self._round_lock = threading.Lock()
         self._pending: "queue.Queue" = queue.Queue()
         self._thread: Optional[threading.Thread] = None
@@ -299,22 +295,15 @@ class ArenaRunner:
             missed += self.corpus.collect_missed(batch.result, chunk)
 
         stats = fold_batches(batches, rule_names)
-        context = context_for_batches(
-            batches,
-            round_index=index,
-            coverage_saturation=self.config.coverage_saturation,
-        )
+        context = context_for_batches(batches, round_index=index)
         scores = score_rules(stats, policy=self.config.policy, context=context)
         actions = self.tracker.observe(scores, index)
+        namespace = self.registry.namespace
+        pairs = [[verdict.rule, verdict.score] for verdict in scores]
+        statuses = [[action.rule, _status_of(action)] for action in actions]
         self.leaderboard.record_round(
-            scores, index, namespace=self.registry.namespace
+            pairs, index, namespace=namespace, statuses=statuses
         )
-        for action in actions:
-            self.leaderboard.set_status(
-                self.registry.namespace, action.rule, _status_of(action)
-            )
-        if actions:  # record_round saved before the status updates landed
-            self.leaderboard.save()
 
         record = ArenaRound(
             index=index,
@@ -335,7 +324,7 @@ class ArenaRunner:
         record.elapsed_seconds = time.perf_counter() - started
         if self.store is not None:
             record.journal_epoch = self.store.journal.append(
-                "arena-round",
+                ARENA_ROUND,
                 {
                     "index": record.index,
                     "version": record.version,
@@ -345,11 +334,14 @@ class ArenaRunner:
                     "retired_rules": record.retired_rules,
                     "retired_version": record.retired_version,
                     "refeed_version": record.refeed_version,
+                    # exact, unrounded: replay_rounds rebuilds the live board
+                    "namespace": namespace,
+                    "scores": pairs,
+                    "statuses": statuses,
                 },
             )
         self.history.append(record)
-        del self.history[: -self.config.history_limit]
-        self._persist_history()
+        del self.history[:-HISTORY_LIMIT]
         return record
 
     # -- retire + refeed --------------------------------------------------------------
@@ -373,7 +365,7 @@ class ArenaRunner:
                     kept.add(rule)
 
         refined = None
-        if len(self.corpus) >= self.config.refeed_min_packages:
+        if len(self.corpus):
             missed = self.corpus.drain()
             result = refine_rules(
                 missed,
@@ -425,16 +417,65 @@ class ArenaRunner:
             retired_version = None
         return successor.version, retired_version
 
-    # -- persistence ------------------------------------------------------------------
-    def _persist_history(self) -> None:
-        if self.history_path is None:
-            return
-        self.history_path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"rounds": [record.to_dict() for record in self.history]}
-        atomic_write_text(
-            self.history_path,
-            json_dumps(payload, indent=2, sort_keys=True) + "\n",
-        )
+
+def journaled_rounds(records: Iterable) -> list:
+    """The newest ``arena-round`` record of each round index, in index order.
+
+    A crash inside :meth:`~repro.store.RuleStore.compact` (after it appends
+    the carried copies, before it drops the originals) leaves a round in
+    the journal twice until the next compaction.
+    """
+    latest = {record.data["index"]: record for record in records}
+    return [latest[index] for index in sorted(latest)]
+
+
+def replay_rounds(records: Iterable, leaderboard: Leaderboard) -> int:
+    """Fold journaled ``arena-round`` records into ``leaderboard``.
+
+    Returns the index the next round runs as.  A record holding a
+    compaction's ``board`` replaces the whole board with it, so the rounds
+    before it count only through that board.  A record without ``scores``
+    (folded by compaction, or journaled before rounds carried them) only
+    advances the numbering.
+    """
+    rounds = journaled_rounds(records)
+    for record in rounds:
+        data = record.data
+        if "board" in data:
+            leaderboard.restore(data["board"])
+        elif "scores" in data:
+            leaderboard.record_round(
+                data["scores"], data["index"],
+                namespace=data["namespace"], statuses=data["statuses"],
+            )
+    return rounds[-1].data["index"] + 1 if rounds else 0
+
+
+def round_summary(data: dict) -> dict:
+    """A journaled round without the keys compaction folds into the board:
+    what ``arena history`` lists and compaction carries."""
+    return {key: value for key, value in data.items() if key not in _FOLDED}
+
+
+def fold_rounds(records: Iterable) -> List[dict]:
+    """The ``arena-round`` data compaction carries in place of ``records``.
+
+    Every round keeps its :func:`round_summary` but loses its ``scores``
+    and ``statuses``; the newest one holds the exact ``board`` they fold
+    into instead, so the carried size is bounded by rounds plus the board,
+    not rounds times rules.  The board record comes first: whichever
+    prefix of these a crash lets through, :func:`replay_rounds` still
+    rebuilds the same board.
+    """
+    rounds = journaled_rounds(records)
+    board = Leaderboard()
+    replay_rounds(rounds, board)
+    carried = [round_summary(record.data) for record in rounds]
+    if board.rounds_recorded:
+        newest = carried.pop()
+        newest["board"] = board.state()
+        carried.insert(0, newest)
+    return carried
 
 
 def _rule_names(version: RulesetVersion) -> List[str]:
@@ -455,4 +496,13 @@ def _status_of(action: LifecycleAction) -> str:
     }[action.action]
 
 
-__all__ = ["ArenaConfig", "ArenaRound", "ArenaRunner"]
+__all__ = [
+    "ArenaConfig",
+    "ArenaRound",
+    "ArenaRunner",
+    "HISTORY_LIMIT",
+    "fold_rounds",
+    "journaled_rounds",
+    "replay_rounds",
+    "round_summary",
+]

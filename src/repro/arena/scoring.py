@@ -44,6 +44,10 @@ ScoringPolicy = Callable[[PerRuleStats, "ScoringContext"], float]
 #: The decorator-registered policy table.
 SCORING_POLICIES: Dict[str, ScoringPolicy] = {}
 
+#: ``weighted``'s half-saturation point ``k``: a rule covering this many
+#: malicious packages earns half of the full coverage credit.
+COVERAGE_SATURATION = 3
+
 
 def scoring_policy(name: str) -> Callable[[ScoringPolicy], ScoringPolicy]:
     """Register a scoring policy under ``name`` (last registration wins)."""
@@ -73,9 +77,6 @@ class ScoringContext:
     malicious_packages: int = 0
     benign_packages: int = 0
     round_index: int = 0
-    #: ``weighted``'s half-saturation point: a rule covering this many
-    #: malicious packages earns half of the full coverage credit.
-    coverage_saturation: int = 3
 
 
 @dataclass
@@ -129,8 +130,7 @@ def weighted(stats: PerRuleStats, context: ScoringContext) -> float:
     """Precision damped by saturating coverage: right *and* reaching."""
     if stats.total_matches == 0:
         return 0.0
-    k = max(1, context.coverage_saturation)
-    reach = stats.coverage / (stats.coverage + k)
+    reach = stats.coverage / (stats.coverage + COVERAGE_SATURATION)
     return stats.precision * reach
 
 
@@ -149,9 +149,7 @@ def fold_batches(batches: Sequence, rule_names: Iterable[str]) -> List[PerRuleSt
     )
 
 
-def context_for_batches(
-    batches: Sequence, round_index: int = 0, coverage_saturation: int = 3
-) -> ScoringContext:
+def context_for_batches(batches: Sequence, round_index: int = 0) -> ScoringContext:
     """Build the round context (traffic composition) from scanned batches."""
     malicious = benign = 0
     for batch in batches:
@@ -164,7 +162,6 @@ def context_for_batches(
         malicious_packages=malicious,
         benign_packages=benign,
         round_index=round_index,
-        coverage_saturation=coverage_saturation,
     )
 
 
@@ -209,6 +206,7 @@ def score_batches(
 
 
 __all__ = [
+    "COVERAGE_SATURATION",
     "SCORING_POLICIES",
     "RuleScore",
     "ScoringContext",

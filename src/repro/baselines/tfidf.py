@@ -22,10 +22,6 @@ class TfIdfScorer:
                 self._document_frequency[term] += 1
         return self
 
-    @property
-    def vocabulary_size(self) -> int:
-        return len(self._document_frequency)
-
     def idf(self, term: str) -> float:
         if self._documents == 0:
             return 0.0

@@ -57,9 +57,11 @@ Twelve subcommands cover the common workflows:
 ``rulellm arena``
     The continuous rule-quality arena (:mod:`repro.arena`): publish a
     baseline ruleset, replay seeded adversarial + benign traffic rounds
-    against it, score and rank every rule on a persistent leaderboard,
-    auto-retire decayed rules, and refeed the misses through a generation
-    session.  ``leaderboard`` / ``history`` inspect a saved state dir.
+    against it, score and rank every rule on a leaderboard, auto-retire
+    decayed rules, and refeed the misses through a generation session.
+    With ``run --store`` every round is journaled; ``leaderboard`` /
+    ``history`` rebuild the standings and list the rounds from the store,
+    reading its journal without repairing anything.
 
 ``rulellm store``
     Operate a :mod:`repro.store` durable state store: ``fsck`` validates
@@ -252,22 +254,19 @@ def _add_store(subparsers) -> None:
 def _cmd_store(args) -> int:
     import json as json_module
 
-    from repro.store import JournalCorruption, open_store
+    from repro.store import JournalCorruption
 
     if args.store_command == "migrate":
         return _store_migrate(Path(args.src), Path(args.dest))
 
     root = Path(args.dir)
-    if not root.is_dir():
-        print(f"no store at {root}", file=sys.stderr)
+    opened = _open_existing_store(
+        root, "'--store DIR' on orchestrate, serve or arena run creates one",
+        deep=getattr(args, "deep", False),
+    )
+    if opened is None:
         return 1
-    try:
-        store, report = open_store(
-            root, deep=getattr(args, "deep", False), create=False
-        )
-    except JournalCorruption as exc:
-        return _store_unrecoverable(root, exc)
-
+    store, report = opened
     with store:
         if args.store_command == "fsck":
             print(report.describe())
@@ -284,7 +283,10 @@ def _cmd_store(args) -> int:
             return 0 if report.ok else 1
 
         if args.store_command == "info":
-            details = store.info()
+            try:
+                details = store.info()
+            except JournalCorruption as exc:
+                return _store_unrecoverable(root, exc)
             print(f"store {details['root']}:")
             print(f"  journal: {details['segments']} segment(s), "
                   f"{details['records']} record(s), "
@@ -319,6 +321,35 @@ def _cmd_store(args) -> int:
 def _store_unrecoverable(root: Path, exc: Exception) -> int:
     print(f"store {root} unrecoverable: {exc}", file=sys.stderr)
     return 1
+
+
+def _has_store(root: Path, hint: str) -> bool:
+    """Whether ``root`` holds a store's ``journal/``; if not, one stderr
+    line says so and ``hint`` says how to make one."""
+    from repro.store.recovery import JOURNAL_DIR
+
+    if (root / JOURNAL_DIR).is_dir():
+        return True
+    print(f"no store at {root}; {hint}", file=sys.stderr)
+    return False
+
+
+def _open_existing_store(root: Path, hint: str, deep: bool = False):
+    """Open the store at ``root`` for an offline command, or say why not.
+
+    Returns ``(store, report)``, or ``None`` after one stderr line: there
+    is no store under ``root`` (:func:`_has_store`), or the journal is
+    damaged past opening.
+    """
+    from repro.store import JournalCorruption, open_store
+
+    if not _has_store(root, hint):
+        return None
+    try:
+        return open_store(root, deep=deep, create=False)
+    except JournalCorruption as exc:
+        _store_unrecoverable(root, exc)
+        return None
 
 
 # -- old registry directories (read only by 'store migrate') ------------------------
@@ -459,27 +490,29 @@ def _add_arena(subparsers) -> None:
                           "later rounds mostly wrapped)")
     run.add_argument("--no-refeed", action="store_true",
                      help="retire decayed rules without regenerating from misses")
-    run.add_argument("--state-dir", default=None,
-                     help="persist leaderboard.json + rounds.json here (the files "
-                          "'rulellm arena leaderboard/history' read)")
     run.add_argument("--store", default=None,
                      help="durable state store directory: the registry recovers "
                           "from it and every round is journaled, so a restarted "
-                          "arena continues its round numbering")
+                          "arena continues its round numbering and leaderboard "
+                          "(what 'rulellm arena leaderboard/history' read)")
     run.add_argument("--json", default=None,
                      help="write the full arena report to this file")
 
     board = actions.add_parser(
-        "leaderboard", help="show a saved leaderboard (see 'arena run --state-dir')"
+        "leaderboard",
+        help="rebuild the leaderboard from a store's journaled rounds "
+             "(read only: safe beside a live 'arena run --store')",
     )
-    board.add_argument("state_dir", help="state dir written by 'arena run'")
+    board.add_argument("dir", help="store written by 'arena run --store'")
     board.add_argument("--limit", type=int, default=10)
     board.add_argument("--json", default=None)
 
     history = actions.add_parser(
-        "history", help="show the saved round history of a state dir"
+        "history",
+        help="list the rounds journaled in a store, one per index "
+             "(read only: safe beside a live 'arena run --store')",
     )
-    history.add_argument("state_dir")
+    history.add_argument("dir", help="store written by 'arena run --store'")
     history.add_argument("--limit", type=int, default=10)
     history.add_argument("--json", default=None)
 
@@ -1094,18 +1127,16 @@ def _cmd_registry(args) -> int:
     """`rulellm registry` on a store: the registry is recovered from its
     snapshot + journal tail, and every change is journaled back."""
     from repro.scanserve import RulesetRegistry
-    from repro.store import JournalCorruption, open_store
-    from repro.store.recovery import JOURNAL_DIR
+    from repro.store import JournalCorruption
 
     root = Path(args.dir)
-    if not (root / JOURNAL_DIR).is_dir():
-        print(f"no store at {root}; import a v<N>/+ACTIVE registry directory "
-              f"with 'rulellm store migrate {root} DEST'", file=sys.stderr)
+    opened = _open_existing_store(
+        root, "import a v<N>/+ACTIVE registry directory with "
+              f"'rulellm store migrate {root} DEST'",
+    )
+    if opened is None:
         return 1
-    try:
-        store, report = open_store(root, create=False)
-    except JournalCorruption as exc:
-        return _store_unrecoverable(root, exc)
+    store, report = opened
     with store:
         try:
             registry = RulesetRegistry.from_store(store)
@@ -1387,72 +1418,69 @@ def _run_client_command(client, args) -> int:
 
 
 # -- arena --------------------------------------------------------------------------
-def _arena_read_state(state_dir: str, name: str) -> dict:
-    import json as json_module
+def _arena_show(args) -> int:
+    """`arena leaderboard|history`: read the rounds a store journaled.
 
-    path = Path(state_dir) / name
+    Reads the journal's files without opening the store, so nothing is
+    repaired or swept and a live `arena run --store` is left undisturbed.
+    """
+    from repro.arena import Leaderboard, replay_rounds
+    from repro.arena.runner import journaled_rounds, round_summary
+    from repro.store import JournalCorruption
+    from repro.store.journal import ARENA_ROUND, read_journal
+    from repro.store.recovery import JOURNAL_DIR
+
+    root = Path(args.dir)
+    if not _has_store(root, f"run 'rulellm arena run --store {root}' first"):
+        return 1
     try:
-        return json_module.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise SystemExit(f"cannot read {path}: {exc} (run 'rulellm arena run "
-                         f"--state-dir {state_dir}' first)")
-    except ValueError as exc:
-        raise SystemExit(f"corrupt state file {path}: {exc}")
+        records = [
+            record for record in read_journal(root / JOURNAL_DIR)
+            if record.type == ARENA_ROUND
+        ]
+    except JournalCorruption as exc:
+        return _store_unrecoverable(root, exc)
+
+    if args.arena_command == "leaderboard":
+        board = Leaderboard()
+        replay_rounds(records, board)
+        print(board.describe(limit=args.limit))
+        _client_write_json(board.to_dict(), args.json)
+        return 0
+
+    rounds = [round_summary(record.data) for record in journaled_rounds(records)]
+    if not rounds:
+        print("(no rounds recorded)")
+    for record in rounds[-args.limit:]:
+        retired = record.get("retired_rules", [])
+        extras = []
+        if retired:
+            extras.append(f"retired {len(retired)} rule(s)")
+        if record.get("refeed_version") is not None:
+            extras.append(f"refeed -> v{record['refeed_version']}")
+        suffix = f" [{'; '.join(extras)}]" if extras else ""
+        print(f"round {record['index']} v{record['version']}: "
+              f"{record['packages']} pkgs "
+              f"({record['malicious']} malicious){suffix}")
+    _client_write_json({"rounds": rounds}, args.json)
+    return 0
 
 
 def _cmd_arena(args) -> int:
     import json as json_module
 
-    if args.arena_command == "leaderboard":
-        board = _arena_read_state(args.state_dir, "leaderboard.json")
-        entries = board.get("entries", [])[: args.limit]
-        if not entries:
-            print("(empty leaderboard)")
-        for entry in entries:
-            delta = entry.get("rank_delta", 0)
-            arrow = "=" if not delta else (f"+{delta}" if delta > 0 else str(delta))
-            status = entry.get("status", "active")
-            flag = f" [{status}]" if status != "active" else ""
-            print(f"#{entry['rank']} ({arrow}) {entry['rule']}: "
-                  f"{entry['score']:.3f} (best {entry['best_score']:.3f}, "
-                  f"{entry['rounds']} rounds){flag}")
-        _client_write_json(board, args.json)
-        return 0
+    if args.arena_command in ("leaderboard", "history"):
+        return _arena_show(args)
 
-    if args.arena_command == "history":
-        saved = _arena_read_state(args.state_dir, "rounds.json")
-        rounds = saved.get("rounds", [])[-args.limit:]
-        if not rounds:
-            print("(no rounds recorded)")
-        for record in rounds:
-            retired = record.get("retired_rules", [])
-            extras = []
-            if retired:
-                extras.append(f"retired {len(retired)} rule(s)")
-            if record.get("refeed_version") is not None:
-                extras.append(f"refeed -> v{record['refeed_version']}")
-            suffix = f" [{'; '.join(extras)}]" if extras else ""
-            print(f"round {record['index']} v{record['version']}: "
-                  f"{record['packages']} pkgs "
-                  f"({record['malicious']} malicious){suffix}")
-        _client_write_json(saved, args.json)
-        return 0
-
-    # arena run
     from repro.api import GenerationSession
     from repro.arena import (
         ArenaConfig,
         ArenaRunner,
-        Leaderboard,
         LifecyclePolicy,
         ReplayTraffic,
         TrafficConfig,
     )
     from repro.scanserve import ScanService, ScanServiceConfig
-
-    state_dir = Path(args.state_dir) if args.state_dir else None
-    if state_dir is not None:
-        state_dir.mkdir(parents=True, exist_ok=True)
 
     dataset = build_dataset(DatasetConfig(scale=args.scale, seed=args.seed))
     print(f"corpus: {len(dataset.malware)} malicious, "
@@ -1490,9 +1518,6 @@ def _cmd_arena(args) -> int:
     runner = ArenaRunner(
         service,
         traffic,
-        leaderboard=Leaderboard(
-            path=state_dir / "leaderboard.json" if state_dir else None
-        ),
         policy=LifecyclePolicy(
             decay_threshold=args.decay_threshold,
             flag_after=1,
@@ -1505,13 +1530,12 @@ def _cmd_arena(args) -> int:
             model=args.model,
             seed=args.seed,
         ),
-        history_path=state_dir / "rounds.json" if state_dir else None,
         store=store,
     )
     runner.register_sources(baseline.version.version, baseline.rule_set)
-    if store is not None and not runner.history and runner.next_round_index:
-        print(f"resuming round numbering at {runner.next_round_index} "
-              f"(journal remembers earlier rounds)")
+    if runner.next_round_index:
+        print(f"resuming at round {runner.next_round_index} with "
+              f"{len(runner.leaderboard)} rule(s) on the journaled leaderboard")
 
     for _ in range(max(1, args.rounds)):
         record = runner.run_round()

@@ -224,13 +224,6 @@ class Package:
         """Non-blank, non-comment source lines across all source files."""
         return sum(f.loc for f in self.source_files)
 
-    def summary_line(self) -> str:
-        tags = ",".join(self.behaviors) if self.behaviors else "-"
-        return (
-            f"{self.identifier} [{self.label}] files={len(self.files)} "
-            f"loc={self.loc} family={self.family or '-'} behaviors={tags}"
-        )
-
 
 def partition_by_label(packages: Iterable[Package]) -> tuple[list[Package], list[Package]]:
     """Split packages into (malicious, benign) lists preserving order."""

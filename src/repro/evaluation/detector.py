@@ -157,9 +157,6 @@ class DetectionResult:
     def metrics(self) -> ConfusionMatrix:
         return self.confusion()
 
-    def by_package(self) -> dict[str, PackageDetection]:
-        return {detection.package: detection for detection in self.detections}
-
     def rule_hits(self) -> dict[str, list[PackageDetection]]:
         """Map each rule name/id to the packages it matched."""
         hits: dict[str, list[PackageDetection]] = {}

@@ -62,14 +62,6 @@ class ConfusionMatrix:
             return 0.0
         return 2.0 * precision * recall / (precision + recall)
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
-
     def summary(self) -> str:
         return (f"acc={self.accuracy:.1%} prec={self.precision:.1%} "
                 f"rec={self.recall:.1%} f1={self.f1:.1%} "

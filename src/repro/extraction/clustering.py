@@ -163,9 +163,6 @@ class ClusterResult:
     def package_count(self) -> int:
         return sum(len(group) for group in self.clusters)
 
-    def cluster_of(self, package: Package) -> int | None:
-        return self.labels.get(package.identifier)
-
 
 def cluster_packages(
     packages: list[Package],

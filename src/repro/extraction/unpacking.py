@@ -13,7 +13,6 @@ import os
 import tarfile
 import zipfile
 from pathlib import Path
-from typing import Iterable
 
 from repro.corpus.package import Package, PackageFile, PackageMetadata
 
@@ -99,8 +98,3 @@ def load_package_from_directory(directory: str | Path, label: str = "benign") ->
         label=label,
     )
     return package
-
-
-def write_corpus(packages: Iterable[Package], directory: str | Path) -> list[Path]:
-    """Write several packages to disk, returning the created roots."""
-    return [write_package_to_directory(package, directory) for package in packages]

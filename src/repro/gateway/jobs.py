@@ -244,10 +244,6 @@ class JobQueue:
             counts[job.state] = counts.get(job.state, 0) + 1
         return counts
 
-    @property
-    def open_jobs(self) -> int:
-        return sum(1 for job in self._jobs.values() if not job.finished)
-
     async def wait(self, job_id: str, timeout: Optional[float] = None) -> Job:
         """Await a job's terminal state (poll-free client side)."""
         job = self.get(job_id)

@@ -160,18 +160,6 @@ class TenantManager:
             except KeyError:
                 raise UnknownTenant(f"unknown tenant {name!r}") from None
 
-    def get_or_register(self, name: str) -> Tenant:
-        with self._lock:
-            existing = self._tenants.get(name)
-        if existing is not None:
-            return existing
-        try:
-            return self.register(name)
-        except ValueError as exc:
-            if "already registered" in str(exc):  # lost a registration race
-                return self.get(name)
-            raise
-
     # -- admission ------------------------------------------------------------------
     def admit(self, name: str, pending_jobs: int = 0, cost: float = 1.0) -> Tenant:
         """Charge one submission against the tenant's quota.

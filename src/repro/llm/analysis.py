@@ -57,15 +57,6 @@ class CodeAnalysisReport:
     def subcategories(self) -> list[str]:
         return sorted({finding.subcategory for finding in self.findings})
 
-    @property
-    def audit_categories(self) -> list[str]:
-        return sorted({finding.audit_category for finding in self.findings})
-
-    def max_specificity(self) -> float:
-        if not self.findings:
-            return 0.0
-        return max(finding.specificity for finding in self.findings)
-
     def merge(self, other: "CodeAnalysisReport") -> "CodeAnalysisReport":
         """Combine two reports (used when auditing multiple similar units)."""
         merged = CodeAnalysisReport(

@@ -30,14 +30,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
 
 class ScanResultCache:
     """Bounded, thread-safe LRU cache of :class:`PackageDetection` results."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.semgrepx.errors import SemgrepPatternError, SemgrepRuleError
 from repro.semgrepx.loader import load_rules_yaml
@@ -119,9 +119,6 @@ class CompiledSemgrepRuleSet:
         for compiled in self.rules:
             findings.extend(compiled.match_target(target))
         return findings
-
-    def match_files(self, name: str, files: Iterable[tuple[str, str]]) -> list[SemgrepFinding]:
-        return self.match_target(ScanTarget.from_files(name, files))
 
     def extend(self, other: "CompiledSemgrepRuleSet") -> "CompiledSemgrepRuleSet":
         merged = CompiledSemgrepRuleSet(list(self.rules))

@@ -96,9 +96,6 @@ class ScanTarget:
             return True
         return any(anchor in self._haystack for anchor in anchors)
 
-    def contains_text(self, needle: str) -> bool:
-        return needle in self._haystack
-
     @property
     def parsed_files(self) -> list[ParsedFile]:
         """The files that parsed, listed once and shared by every rule."""

@@ -203,6 +203,18 @@ def scan_segment(path: Path) -> SegmentScan:
     return scan
 
 
+def segment_paths(directory: Path) -> list[Path]:
+    """A journal directory's segment files, oldest first."""
+    if not directory.is_dir():
+        return []
+    found = [
+        path
+        for path in directory.glob("segment-*.wal")
+        if _segment_number(path) >= 0
+    ]
+    return sorted(found, key=_segment_number)
+
+
 def scan_segments(paths: Sequence[Path]) -> Iterator[SegmentScan]:
     """Scan a journal's segments in order, one file at a time.
 
@@ -219,6 +231,21 @@ def scan_segments(paths: Sequence[Path]) -> Iterator[SegmentScan]:
                 f"of a sealed segment"
             )
         yield scan
+
+
+def read_journal(directory: Path, after: int = 0) -> Iterator[JournalRecord]:
+    """Yield every intact record with ``epoch > after``, in order, repairing nothing.
+
+    Safe beside a live writer: a torn tail of the last segment (an append
+    in flight, or one a crash interrupted) ends the iteration, and
+    mid-stream or sealed-segment damage raises :class:`JournalCorruption`.
+    """
+    for scan in scan_segments(segment_paths(directory)):
+        for record in scan.records:
+            if record.epoch > after:
+                yield record
+        if scan.corrupt:
+            raise JournalCorruption(f"{scan.path.name}: {scan.error}")
 
 
 class Journal:
@@ -372,14 +399,7 @@ class Journal:
 
     # -- reading ------------------------------------------------------------------
     def segments(self) -> list[Path]:
-        if not self.directory.is_dir():
-            return []
-        found = [
-            path
-            for path in self.directory.glob("segment-*.wal")
-            if _segment_number(path) >= 0
-        ]
-        return sorted(found, key=_segment_number)
+        return segment_paths(self.directory)
 
     @property
     def last_epoch(self) -> int:
@@ -387,23 +407,11 @@ class Journal:
             return self._last_epoch
 
     def replay(self, after: int = 0) -> Iterator[JournalRecord]:
-        """Yield every intact record with ``epoch > after``, in order.
-
-        Readable concurrently with appends (replay reads the files, not the
-        write handle); a torn tail of the last segment — possible when
-        replaying a directory a crashed process left behind — simply ends
-        the iteration, mid-stream or sealed-segment corruption raises
-        :class:`JournalCorruption`.
-        """
+        """:func:`read_journal` over this journal, after flushing its appends."""
         with self._lock:
             if self._handle is not None:
                 self._handle.flush()
-        for scan in scan_segments(self.segments()):
-            for record in scan.records:
-                if record.epoch > after:
-                    yield record
-            if scan.corrupt:
-                raise JournalCorruption(f"{scan.path.name}: {scan.error}")
+        yield from read_journal(self.directory, after)
 
     def records_by_type(self, record_type: str, after: int = 0) -> list[JournalRecord]:
         return [r for r in self.replay(after=after) if r.type == record_type]
@@ -455,6 +463,8 @@ __all__ = [
     "SHARD_COMPLETE",
     "SNAPSHOT",
     "SegmentScan",
+    "read_journal",
     "scan_segment",
     "scan_segments",
+    "segment_paths",
 ]

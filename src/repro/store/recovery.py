@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.store.journal import (
+    ARENA_ROUND,
     Journal,
     JournalCorruption,
     scan_segments,
@@ -188,16 +189,15 @@ class RuleStore:
 
     # -- introspection ------------------------------------------------------------
     def info(self) -> dict:
+        """Journal, snapshot and blob counts; a damaged journal raises
+        :class:`~repro.store.journal.JournalCorruption`."""
         by_type: dict[str, int] = {}
         records = 0
         last_epoch = 0
-        try:
-            for record in self.journal.replay():
-                records += 1
-                last_epoch = record.epoch
-                by_type[record.type] = by_type.get(record.type, 0) + 1
-        except JournalCorruption:
-            pass
+        for record in self.journal.replay():
+            records += 1
+            last_epoch = record.epoch
+            by_type[record.type] = by_type.get(record.type, 0) + 1
         manifest = self.latest_manifest()
         segments = self.journal.segments()
         return {
@@ -232,11 +232,16 @@ class RuleStore:
         recovery still needs — fleet shard checkpoints, the newest gateway
         job states, arena rounds — are *re-appended* past the snapshot
         before the prefix is dropped, so compaction never strands a
-        resumable run.  Finally, blobs no longer referenced by any journal
-        record or manifest are garbage-collected.
+        resumable run.  Arena rounds are re-appended as summaries plus one
+        folded leaderboard, so what they carry stays bounded by the board
+        rather than growing with rounds times rules.  Finally, blobs no
+        longer referenced by any journal record or manifest are
+        garbage-collected.
         """
-        # deferred import: the store layer must stay import-independent of
-        # the registry; compaction is the one operation that spans both
+        # deferred imports: the store layer must stay import-independent of
+        # the registry and the arena; compaction is the one operation that
+        # spans them
+        from repro.arena.runner import fold_rounds
         from repro.scanserve.registry import RulesetRegistry
 
         report = CompactReport()
@@ -245,14 +250,18 @@ class RuleStore:
 
         snapshot_epoch = self.journal.last_epoch
         carry: list = []
+        rounds: list = []
         folded = 0
         for record in self.journal.replay():
             if record.epoch > snapshot_epoch:
                 continue
             folded += 1
-            if record.type in _CARRIED_TYPES:
+            if record.type == ARENA_ROUND:
+                rounds.append(record)
+            elif record.type in _CARRIED_TYPES:
                 carry.append(record)
-        carried = _dedupe_carried(carry)
+        carried = [(r.type, r.data) for r in _dedupe_carried(carry)]
+        carried.extend((ARENA_ROUND, data) for data in fold_rounds(rounds))
 
         # seal the prefix *first*: the snapshot marker and the carried
         # copies land in a fresh segment, so every sealed segment holds only
@@ -260,8 +269,8 @@ class RuleStore:
         self.journal.rotate()
         manifest = registry.snapshot(self)
         report.snapshot_epoch = manifest.epoch
-        for record in carried:
-            self.journal.append(record.type, record.data)
+        for record_type, data in carried:
+            self.journal.append(record_type, data)
         report.records_carried = len(carried)
 
         dropped = self.journal.drop_segments_through(snapshot_epoch)
@@ -282,11 +291,11 @@ class RuleStore:
 
 
 #: Record types compaction must carry across a snapshot (registry records
-#: are folded *into* the snapshot; these are independent state machines).
+#: are folded *into* the snapshot; these are independent state machines;
+#: arena rounds are carried folded, see ``repro.arena.runner.fold_rounds``).
 _CARRIED_TYPES = frozenset({
     "shard-complete", "fleet-start", "fleet-merge",
     "job-submitted", "job-started", "job-finished",
-    "arena-round",
 })
 
 
@@ -306,8 +315,6 @@ def _carried_identity(record) -> tuple:
         return (record.type, str(data.get("run_key", "")), str(data.get("label", "")))
     if record.type in ("fleet-start", "fleet-merge"):
         return (record.type, str(data.get("run_key", "")))
-    if record.type == "arena-round":
-        return (record.type, int(data.get("index", -1)))
     return (record.type, record.epoch)
 
 

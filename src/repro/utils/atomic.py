@@ -1,20 +1,20 @@
 """Crash-safe file writes, in one place.
 
-Three subsystems grew their own "write to a sibling temp file, then
-``os.replace`` over the target" implementations (the disk result cache, the
-arena leaderboard, the on-disk registry layout) — and all three stopped at
-the rename.  A rename alone guarantees readers never observe a *torn* file,
-but not that the file survives power loss: the data must be ``fsync``-ed
-before the rename, and the *directory entry* must be ``fsync``-ed after it,
-or a crash can roll the whole operation back (or worse, leave the new name
-pointing at zero-length data on some filesystems).
+A bare "write to a sibling temp file, then ``os.replace`` over the target"
+guarantees readers never observe a *torn* file, but not that the file
+survives power loss: the data must be ``fsync``-ed before the rename, and
+the *directory entry* must be ``fsync``-ed after it, or a crash can roll the
+whole operation back (or worse, leave the new name pointing at zero-length
+data on some filesystems).
 
-This module is the single implementation.  ``durable=True`` (the default)
-does the full fsync-file-then-fsync-directory dance — what the write-ahead
-journal, checkpoints and registry layouts need.  ``durable=False`` keeps
-only the atomicity (readers still never see partial content) and skips the
-syncs — right for throwaway data like cache entries, where losing a recent
-write costs a re-scan, not correctness.
+This module is the single implementation.  Its users are the store's blob
+and snapshot-manifest writes (:mod:`repro.store.snapshots`), the journal's
+segment-directory syncs (:mod:`repro.store.journal`, via :func:`fsync_dir`)
+and the tracer's ring dump (:mod:`repro.obs.trace`).  ``durable=True``
+(the default) does the full fsync-file-then-fsync-directory dance.
+``durable=False`` keeps only the atomicity (readers still never see partial
+content) and skips the syncs — right for data whose loss costs a re-run,
+not correctness.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "fsync_dir",
-    "replace_durable",
 ]
 
 
@@ -47,12 +46,6 @@ def fsync_dir(directory: str | os.PathLike) -> bool:
         return False
     finally:
         os.close(fd)
-
-
-def replace_durable(scratch: str | os.PathLike, target: str | os.PathLike) -> None:
-    """``os.replace`` plus a directory fsync so the rename itself persists."""
-    os.replace(scratch, target)
-    fsync_dir(Path(target).parent)
 
 
 def atomic_write_bytes(

@@ -81,10 +81,6 @@ class DeterministicRandom:
             raise ValueError("items and weights must have the same length")
         return self._rng.choices(list(items), weights=list(weights), k=1)[0]
 
-    def subseed(self, *scope: str) -> int:
-        """Derive a further child seed below this stream's seed."""
-        return derive_seed(self.seed, *scope)
-
     def child(self, *scope: str) -> "DeterministicRandom":
         """Return a new independent stream scoped below this one."""
         return DeterministicRandom(self.seed, *scope)

@@ -33,10 +33,6 @@ class StringDef:
         if unknown:
             raise ValueError(f"unknown string modifiers: {sorted(unknown)}")
 
-    @property
-    def bare_name(self) -> str:
-        return self.identifier[1:]
-
 
 # -- condition expression nodes ------------------------------------------------
 

@@ -1,13 +1,14 @@
 """Unit coverage of the arena building blocks: replay traffic determinism,
 scoring-policy edge cases (silent rules, benign-only traffic, tie-break
-stability), cross-batch stat merging, leaderboard persistence and rank
-deltas, and the lifecycle escalation walk with its refinement corpus."""
+stability), cross-batch stat merging, leaderboard ranks, deltas and trend
+bound, and the lifecycle escalation walk with its refinement corpus."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.arena.leaderboard import Leaderboard, LeaderboardEntry
+from repro.arena import leaderboard as leaderboard_module
+from repro.arena.leaderboard import Leaderboard
 from repro.arena.lifecycle import (
     ACTIVE,
     FLAG,
@@ -170,7 +171,7 @@ class TestScoringPolicies:
     def test_weighted_rewards_coverage(self):
         narrow = PerRuleStats(rule="narrow", malicious_matches=1)
         broad = PerRuleStats(rule="broad", malicious_matches=9)
-        context = ScoringContext(coverage_saturation=3)
+        context = ScoringContext()
         weighted = get_policy("weighted")
         assert weighted(broad, context) > weighted(narrow, context)
         assert weighted(broad, context) == pytest.approx(9 / 12)
@@ -249,8 +250,8 @@ def _verdict(rule: str, score: float) -> RuleScore:
 class TestLeaderboard:
     def test_record_round_ranks_and_deltas(self):
         board = Leaderboard()
-        board.record_round([_verdict("a", 0.9), _verdict("b", 0.5)], 0)
-        board.record_round([_verdict("a", 0.1), _verdict("b", 0.8)], 1)
+        board.record_round([("a", 0.9), ("b", 0.5)], 0)
+        board.record_round([("a", 0.1), ("b", 0.8)], 1)
         a, b = board.entry("", "a"), board.entry("", "b")
         assert (b.rank, b.previous_rank, b.rank_delta) == (1, 2, 1)
         assert (a.rank, a.previous_rank, a.rank_delta) == (2, 1, -1)
@@ -259,50 +260,22 @@ class TestLeaderboard:
 
     def test_tie_break_by_rule_then_namespace(self):
         board = Leaderboard()
-        board.record_round([_verdict("b", 0.5), _verdict("a", 0.5)], 0)
+        board.record_round([("b", 0.5), ("a", 0.5)], 0)
         assert [e.rule for e in board.rankings()] == ["a", "b"]
 
-    def test_trend_is_bounded(self):
-        board = Leaderboard(trend_limit=3)
+    def test_trend_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(leaderboard_module, "TREND_LIMIT", 3)
+        board = Leaderboard()
         for round_index in range(6):
-            board.record_round([_verdict("a", round_index / 10)], round_index)
+            board.record_round([("a", round_index / 10)], round_index)
         assert board.entry("", "a").trend == [0.3, 0.4, 0.5]
-
-    def test_persistence_round_trip(self, tmp_path):
-        path = tmp_path / "board.json"
-        board = Leaderboard(path=path)
-        board.record_round([_verdict("a", 0.9), _verdict("b", 0.2)], 0)
-        board.set_status("", "b", "flagged")
-        board.save()
-        reloaded = Leaderboard(path=path)
-        assert len(reloaded) == 2
-        assert reloaded.rounds_recorded == 1
-        twin = reloaded.entry("", "b")
-        assert twin.status == "flagged"
-        assert twin.rank == board.entry("", "b").rank
-        assert twin.trend == [pytest.approx(0.2)]
-
-    def test_corrupt_file_is_rejected(self, tmp_path):
-        path = tmp_path / "board.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ValueError, match="unreadable leaderboard"):
-            Leaderboard(path=path)
 
     def test_namespace_filter(self):
         board = Leaderboard()
-        board.record_round([_verdict("a", 0.5)], 0, namespace="t1")
-        board.record_round([_verdict("a", 0.9)], 1, namespace="t2")
+        board.record_round([("a", 0.5)], 0, namespace="t1")
+        board.record_round([("a", 0.9)], 1, namespace="t2")
         assert [e.namespace for e in board.rankings(namespace="t1")] == ["t1"]
         assert len(board) == 2
-
-    def test_entry_serialisation_round_trip(self):
-        entry = LeaderboardEntry(
-            namespace="n", rule="r", score=0.5, rank=2, previous_rank=5,
-            status="quarantined", trend=[0.7, 0.5],
-        )
-        clone = LeaderboardEntry.from_dict(entry.to_dict())
-        assert clone.key == entry.key
-        assert clone.rank_delta == 3
 
 
 # -- lifecycle ----------------------------------------------------------------------

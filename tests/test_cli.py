@@ -294,7 +294,8 @@ class TestDamagedStoreCli:
     ):
         """One flipped byte in a sealed segment, in the first of its two
         frames (mid-stream) or the last (reads like a torn append), makes
-        every registry command and compaction exit 1 with one line."""
+        every registry command, store info, compaction and the arena's
+        store readers exit 1 with one line."""
         from repro.scanserve import RulesetRegistry
         from repro.store import open_store
         from repro.store.journal import SEGMENT_MAGIC
@@ -317,7 +318,10 @@ class TestDamagedStoreCli:
             ["registry", "list", str(root)],
             ["registry", "activate", str(root), "1"],
             ["registry", "retire", str(root), "1"],
+            ["store", "info", str(root)],
             ["store", "compact", str(root)],
+            ["arena", "leaderboard", str(root)],
+            ["arena", "history", str(root)],
         ):
             assert cli_main(argv) == 1, argv
             err = capsys.readouterr().err
@@ -382,48 +386,79 @@ class TestStoreMigrateCli:
 
 class TestArenaCli:
     @pytest.fixture()
-    def state_dir(self, tmp_path):
-        """A saved arena state dir, written through the real components."""
-        from repro.arena import Leaderboard
-        from repro.arena.scoring import RuleScore
+    def arena_store(self, tmp_path):
+        """A store holding two journaled rounds: round 0 with its scores and
+        statuses, round 1 in the shape journaled before rounds carried them."""
+        from repro.store import open_store
+        from repro.store.journal import ARENA_ROUND
 
         root = tmp_path / "arena"
-        root.mkdir()
-        board = Leaderboard(path=root / "leaderboard.json")
-        verdicts = [
-            RuleScore(rule="good", score=0.9, precision=0.9, coverage=3,
-                      malicious_matches=3, benign_matches=0, policy="strict"),
-            RuleScore(rule="bad", score=0.1, precision=0.1, coverage=1,
-                      malicious_matches=1, benign_matches=9, policy="strict"),
-        ]
-        board.record_round(verdicts, 0)
-        board.set_status("", "bad", "quarantined")
-        board.save()
-        (root / "rounds.json").write_text(json.dumps({
-            "rounds": [
-                {"index": 0, "version": 1, "packages": 16, "malicious": 8,
-                 "retired_rules": [], "refeed_version": None},
-                {"index": 1, "version": 1, "packages": 16, "malicious": 7,
-                 "retired_rules": ["bad"], "refeed_version": 2},
-            ]
-        }), encoding="utf-8")
+        store, _ = open_store(root, durable=False)
+        with store:
+            store.journal.append(ARENA_ROUND, {
+                "index": 0, "version": 1, "policy": "strict", "packages": 16,
+                "malicious": 8, "retired_rules": [], "retired_version": None,
+                "refeed_version": None, "namespace": "",
+                "scores": [["good", 0.9], ["bad", 0.1]],
+                "statuses": [["bad", "quarantined"]],
+            })
+            store.journal.append(ARENA_ROUND, {
+                "index": 1, "version": 1, "policy": "strict", "packages": 16,
+                "malicious": 7, "retired_rules": ["bad"], "retired_version": 1,
+                "refeed_version": 2,
+            })
         return root
 
-    def test_leaderboard_listing(self, state_dir, capsys):
-        assert cli_main(["arena", "leaderboard", str(state_dir)]) == 0
+    def test_leaderboard_listing(self, arena_store, capsys):
+        assert cli_main(["arena", "leaderboard", str(arena_store)]) == 0
         output = capsys.readouterr().out
         assert "#1 (=) good: 0.900" in output
         assert "[quarantined]" in output
 
-    def test_history_listing(self, state_dir, capsys):
-        assert cli_main(["arena", "history", str(state_dir)]) == 0
+    def test_history_listing(self, arena_store, capsys):
+        assert cli_main(["arena", "history", str(arena_store)]) == 0
         output = capsys.readouterr().out
         assert "round 0 v1: 16 pkgs (8 malicious)" in output
         assert "retired 1 rule(s); refeed -> v2" in output
 
-    def test_missing_state_dir_fails_with_hint(self, tmp_path):
-        with pytest.raises(SystemExit, match="arena run"):
-            cli_main(["arena", "leaderboard", str(tmp_path / "nowhere")])
+    def test_readers_repair_nothing(self, arena_store, capsys):
+        """Beside a live `arena run --store`, the readers must leave its
+        half-written frame and a blob's scratch file where they are."""
+        from repro.store.recovery import BLOBS_DIR, JOURNAL_DIR
+
+        segment = sorted((arena_store / JOURNAL_DIR).glob("segment-*.wal"))[-1]
+        with open(segment, "ab") as handle:
+            handle.write(b"\x00\x00\x01")  # a frame header cut short
+        size = segment.stat().st_size
+        scratch = arena_store / BLOBS_DIR / "ab" / "pending.tmp"
+        scratch.parent.mkdir(parents=True, exist_ok=True)
+        scratch.write_bytes(b"half a blob")
+        assert cli_main(["arena", "leaderboard", str(arena_store)]) == 0
+        assert "#1 (=) good: 0.900" in capsys.readouterr().out
+        assert cli_main(["arena", "history", str(arena_store)]) == 0
+        assert "round 1 v1:" in capsys.readouterr().out
+        assert segment.stat().st_size == size
+        assert scratch.read_bytes() == b"half a blob"
+
+    def test_missing_state_dir_fails_with_hint(self, tmp_path, capsys):
+        for command in ("leaderboard", "history"):
+            assert cli_main(["arena", command, str(tmp_path / "nowhere")]) == 1
+            assert "arena run --store" in capsys.readouterr().err
+
+    def test_restarted_run_continues_rounds_and_board(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        for _ in range(2):
+            assert cli_main(["arena", "run", "--rounds", "2", "--store", store]) == 0
+        history = tmp_path / "history.json"
+        board = tmp_path / "board.json"
+        assert cli_main(["arena", "history", store, "--json", str(history)]) == 0
+        assert cli_main(["arena", "leaderboard", store, "--json", str(board)]) == 0
+        rounds = json.loads(history.read_text(encoding="utf-8"))["rounds"]
+        assert [r["index"] for r in rounds] == [0, 1, 2, 3]
+        standings = json.loads(board.read_text(encoding="utf-8"))
+        assert standings["rounds_recorded"] == 4
+        assert standings["entries"]
+        assert max(e["rounds"] for e in standings["entries"]) == 4
 
 
 class TestObsCommands:

@@ -10,7 +10,6 @@ from repro.utils.atomic import (
     atomic_write_bytes,
     atomic_write_text,
     fsync_dir,
-    replace_durable,
 )
 
 
@@ -73,14 +72,6 @@ class TestDurabilityPlumbing:
 
     def test_fsync_dir_tolerates_missing_directory(self, tmp_path):
         assert fsync_dir(tmp_path / "nope") is False
-
-    def test_replace_durable_moves_and_survives(self, tmp_path):
-        scratch = tmp_path / "scratch.tmp"
-        scratch.write_bytes(b"promoted")
-        target = tmp_path / "final.bin"
-        replace_durable(scratch, target)
-        assert target.read_bytes() == b"promoted"
-        assert not scratch.exists()
 
     def test_durable_write_fsyncs_file_before_rename(self, tmp_path, monkeypatch):
         order: list[str] = []
