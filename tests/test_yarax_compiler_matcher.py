@@ -1,9 +1,15 @@
 """Tests for YARA compilation semantics and matching."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.llm.faults import FaultInjector
+from repro.utils.seeding import DeterministicRandom
 from repro.yarax import YaraCompilationError, compile_source
+from repro.yarax import ast_nodes as ast
 from repro.yarax.compiler import scan_many, try_compile
+from repro.yarax.matcher import CompiledString
 
 
 def compile_one(body: str):
@@ -139,3 +145,66 @@ def test_extend_rejects_duplicate_names():
     b = compile_one('rule x { strings: $a = "w" condition: $a }')
     with pytest.raises(YaraCompilationError):
         a.extend(b)
+
+
+# -- pinned compiler messages -------------------------------------------------------
+# The alignment agent repairs rules from these texts, so they are recorded
+# verbatim and must not drift when compilation changes.
+
+_FAULT_SOURCES = [
+    (
+        'rule fault_one\n{\n    strings:\n        $a = "exec(base64"\n'
+        '        $b = /eval\\(.{0,20}\\)/\n    condition:\n        any of them\n}\n',
+        'compilation error: rule "fault_one": invalid regular expression in string $b: '
+        "unterminated character set at position 1",
+    ),
+    (
+        'rule fault_two\n{\n    strings:\n        $a = "subprocess.Popen"\n'
+        "    condition:\n        $a\n}\n",
+        'compilation error: rule "fault_two": invalid regular expression in string $broken: '
+        "unterminated character set at position 1",
+    ),
+]
+
+
+@pytest.mark.parametrize("source, message", _FAULT_SOURCES)
+def test_try_compile_message_on_injected_bad_regex(source, message):
+    broken = FaultInjector(DeterministicRandom(0)).apply_yara_fault(source, "bad_regex")
+    assert try_compile(broken) == (None, message)
+
+
+@pytest.mark.parametrize(
+    "pattern, reason",
+    [
+        ("/a(b/", "missing ), unterminated subpattern at position 1"),
+        ("/[z-a]/", "bad character range z-a at position 1"),
+        ("/a**/", "multiple repeat at position 2"),
+        ("/x{2,1}/", "min repeat greater than max repeat at position 2"),
+        ("/\\p/", "bad escape \\p at position 0"),
+        ("/(?<=a+)b/", "look-behind requires fixed-width pattern"),
+        ("/[/", "unterminated character set at position 0"),
+        ("/)/", "unbalanced parenthesis at position 0"),
+        ("/a{1,2}{3}/", "multiple repeat at position 6"),
+    ],
+)
+def test_try_compile_message_on_invalid_regex(pattern, reason):
+    source = "rule bad_re { strings: $r = %s condition: $r }" % pattern
+    assert try_compile(source) == (
+        None,
+        'compilation error: rule "bad_re": invalid regular expression in string $r: '
+        + reason,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(min_size=1, max_size=24),
+    st.sets(st.sampled_from(["nocase", "wide", "ascii", "fullword"])),
+)
+def test_text_string_pattern_always_compiles(value, modifiers):
+    """A text string's pattern is built from ``re.escape`` pieces, so it
+    compiles for every value and modifier set and finds its own value."""
+    definition = ast.StringDef("$t", ast.TEXT, value, modifiers=tuple(sorted(modifiers)))
+    compiled = CompiledString(definition, "text_rule")
+    assert compiled.search(value)
+    assert compiled.find(value)
