@@ -303,6 +303,7 @@ def test_bench_scan_throughput(benchmark, suite):
             if size > len(vocabulary):
                 break
             lanes = PackedAutomaton(vocabulary[:size])
+            lanes._find_walk([])  # builds the DFA outside the timed walk
             point = {"atoms": size}
             for lane_name, scan in (
                 ("substring", lanes._find_substring),

@@ -44,7 +44,9 @@ def main() -> None:
     version1 = session.generate(label="gpt-4o nightly").version
     print(f"published {version1.describe()}")
     stats = version1.index.stats()
-    print(f"prefilter: {stats.atoms} atoms over {stats.automaton_states} automaton states\n")
+    # only the walk lane builds a DFA; the other lanes match the atoms directly
+    tables = f" over {stats.automaton_states} DFA states" if stats.automaton_states else ""
+    print(f"prefilter: {stats.atoms} atoms on the {stats.lane} lane{tables}\n")
 
     print("== batch scan ==")
     batch = service.scan_batch(dataset.packages)

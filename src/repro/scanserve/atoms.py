@@ -126,9 +126,15 @@ def guaranteed_identifiers(
 
 
 def yara_rule_atoms(
-    rule: CompiledRule, min_length: int = DEFAULT_MIN_ATOM_LENGTH
+    rule: CompiledRule,
+    min_length: int = DEFAULT_MIN_ATOM_LENGTH,
+    string_atoms: Optional[dict[str, tuple[str, ...]]] = None,
 ) -> RuleAtoms:
-    """Extract the prefilter atoms of one compiled YARA rule."""
+    """Extract the prefilter atoms of one compiled YARA rule.
+
+    ``string_atoms`` maps identifiers to ``CompiledString.atoms(min_length)``
+    when the caller already has them, so no string's atoms are derived twice.
+    """
     identifiers = [cs.identifier for cs in rule.strings]
     if rule.ast.condition is None:  # pragma: no cover - compiler rejects this
         return RuleAtoms(YARA, rule.name, reason="rule has no condition")
@@ -143,8 +149,11 @@ def yara_rule_atoms(
         compiled_string = by_identifier.get(identifier)
         if compiled_string is None:  # pragma: no cover - compiler rejects this
             return RuleAtoms(YARA, rule.name, reason=f"undefined string {identifier}")
-        string_atoms = compiled_string.atoms(min_length)
-        if not string_atoms:
+        if string_atoms is not None:
+            literals = string_atoms[identifier]
+        else:
+            literals = compiled_string.atoms(min_length)
+        if not literals:
             return RuleAtoms(
                 YARA,
                 rule.name,
@@ -152,7 +161,7 @@ def yara_rule_atoms(
             )
         # one atom per string suffices for the guarantee; keeping the longest
         # (most selective) literal keeps the automaton small
-        atoms.add(max(string_atoms, key=len).casefold())
+        atoms.add(max(literals, key=len).casefold())
     if not atoms:
         return RuleAtoms(YARA, rule.name, reason="no guaranteed strings")
     return RuleAtoms(YARA, rule.name, atoms=tuple(sorted(atoms)), indexable=True)

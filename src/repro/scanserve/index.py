@@ -101,8 +101,8 @@ class _LazyConditionEvaluator(ConditionEvaluator):
                 if plain is not None:
                     key = ("p", plain)
                 else:
-                    regex = compiled._regex
-                    key = ("r", regex.pattern, regex.flags)
+                    # the kept source and flags: building a key never compiles
+                    key = ("r", compiled._source, compiled._flags)
                 cached = self._memo.get(key)
                 if cached is None:
                     cached = compiled.search(self._data)
@@ -117,8 +117,7 @@ class _LazyConditionEvaluator(ConditionEvaluator):
                 cached = 0
             else:
                 compiled = self._strings[identifier]
-                regex = compiled._regex
-                key = ("c", regex.pattern, regex.flags)
+                key = ("c", compiled._source, compiled._flags)
                 cached = self._memo.get(key)
                 if cached is None:
                     # same 1000-occurrence cap as CompiledString.find's default
@@ -251,22 +250,23 @@ class RuleIndex:
         self._yara_eval: list[tuple[list[str], dict[str, int]]] = []
 
         for position, rule in enumerate(yara.rules if yara is not None else []):
-            register(yara_rule_atoms(rule, min_atom_length), "yara", position)
-            gates: dict[str, str] = {}
-            ranks: dict[str, int] = {}
-            identifiers: list[str] = []
-            for compiled_string in rule.strings:
-                identifiers.append(compiled_string.identifier)
-                ranks[compiled_string.identifier] = (
-                    1 if compiled_string._plain_value is not None else 2
-                )
-                string_atoms = compiled_string.atoms(min_atom_length)
-                if string_atoms:
-                    gates[compiled_string.identifier] = max(
-                        string_atoms, key=len
-                    ).casefold()
-            self._yara_gates.append(gates)
-            self._yara_eval.append((identifiers, ranks))
+            # each string's atoms are derived once, for candidacy and gates
+            string_atoms = {
+                cs.identifier: cs.atoms(min_atom_length) for cs in rule.strings
+            }
+            register(
+                yara_rule_atoms(rule, min_atom_length, string_atoms), "yara", position
+            )
+            self._yara_gates.append({
+                identifier: max(literals, key=len).casefold()
+                for identifier, literals in string_atoms.items()
+                if literals
+            })
+            ranks = {
+                cs.identifier: 1 if cs._plain_value is not None else 2
+                for cs in rule.strings
+            }
+            self._yara_eval.append((list(string_atoms), ranks))
         for position, rule in enumerate(semgrep.rules if semgrep is not None else []):
             atoms = semgrep_rule_atoms(rule, min_atom_length)
             register(atoms, "semgrep", position)

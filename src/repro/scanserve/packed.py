@@ -17,16 +17,18 @@ three lanes, fixed at construction from the vocabulary alone:
     guard hit is verified per member at that exact position.
 
 ``walk``
-    Otherwise each text walks a dense DFA: the goto/fail trie expanded over a
-    *compressed* alphabet (only bytes that occur in some word get a symbol;
-    every other byte maps to symbol 0, which always leads back to the root).
+    Otherwise each text walks a dense DFA, built only for walk vocabularies:
+    the goto/fail trie expanded over a *compressed* alphabet (only bytes
+    that occur in some word get a symbol; every other byte maps to symbol
+    0, which always leads back to the root).
     State ids are stored pre-multiplied by the alphabet size, so the inner
     loop is ``state = delta[state + symbol]`` on one flat ``array('i')``.
     Output states are renumbered to the *end* of the id space, so "did a word
     end here" is a single ``state >= boundary`` comparison.
 
-The tables serialize: :meth:`to_bytes` emits a self-describing blob,
-:meth:`from_bytes` restores it without re-running construction, and
+The tables serialize: :meth:`to_bytes` emits a self-describing blob (with
+empty DFA tables outside the walk lane), :meth:`from_bytes` restores it
+without re-running construction, and
 ``pickle`` round-trips via the same blob — that is what lets a process-pool
 shard worker or a durable registry attach to published tables instead of
 recompiling them.  The lane is derived from the restored vocabulary, so it
@@ -124,8 +126,39 @@ class PackedAutomaton:
 
     # -- construction -------------------------------------------------------------
     def _build(self) -> None:
-        encoded = [w.encode("utf-8", "surrogatepass") for w in self.words]
-        self._encoded = encoded
+        self._encoded = [w.encode("utf-8", "surrogatepass") for w in self.words]
+        self._finalize()
+        if self.lane == WALK_LANE:
+            self._build_tables()
+
+    def _finalize(self) -> None:
+        """Guard groups and the lane, derived from the words on every load.
+
+        The dense DFA tables start absent: only the walk lane reads them, so
+        only :meth:`_build` / :meth:`from_bytes` on a walk vocabulary, or a
+        direct :meth:`_find_walk` call, builds them.
+        """
+        # guard groups for the joined lane: words bucketed by their first
+        # GUARD_PREFIX_LENGTH bytes; one C find per guard, then per-text
+        # verification of the longer members
+        guards: dict[bytes, list[int]] = {}
+        for word_id, word in enumerate(self._encoded):
+            guards.setdefault(word[:GUARD_PREFIX_LENGTH], []).append(word_id)
+        self._guards = guards
+        if len(self.words) < AUTOMATON_THRESHOLD:
+            self.lane = SUBSTRING_LANE
+        elif len(guards) <= BATCH_GUARD_LIMIT and len(self.words) <= BATCH_WORD_LIMIT:
+            self.lane = JOINED_LANE
+        else:
+            self.lane = WALK_LANE
+        self.alphabet_size = 0
+        self.state_count = 0
+        self._out_first = 0
+        self._translate = self._out_offsets = self._out_words = self._delta = None
+
+    def _build_tables(self) -> None:
+        """The walk lane's dense DFA over this vocabulary."""
+        encoded = self._encoded
 
         # byte trie (dict form, construction only)
         goto: list[dict[int, int]] = [{}]
@@ -204,12 +237,11 @@ class PackedAutomaton:
             for byte, nxt in goto[state].items():
                 delta[base + translate[byte]] = new_id[nxt] * alphabet
         self._delta = delta
-        self._finalize()
+        self._index_outputs()
 
-    def _finalize(self) -> None:
-        """Derived lookup structures and the lane, rebuilt on every load."""
-        # output tuples keyed by the walk's raw (pre-multiplied) state value
-        # — hits are rare, so a dict probe per hit is fine
+    def _index_outputs(self) -> None:
+        """Output tuples keyed by the walk's raw (pre-multiplied) state value
+        — hits are rare, so a dict probe per hit is fine."""
         offsets, flat = self._out_offsets, self._out_words
         step = self.alphabet_size
         self._out_boundary = boundary = self._out_first * step
@@ -217,19 +249,6 @@ class PackedAutomaton:
             boundary + i * step: tuple(flat[offsets[i] : offsets[i + 1]])
             for i in range(len(offsets) - 1)
         }
-        # guard groups for the joined lane: words bucketed by their first
-        # GUARD_PREFIX_LENGTH bytes; one C find per guard, then per-text
-        # verification of the longer members
-        guards: dict[bytes, list[int]] = {}
-        for word_id, word in enumerate(self._encoded):
-            guards.setdefault(word[:GUARD_PREFIX_LENGTH], []).append(word_id)
-        self._guards = guards
-        if len(self.words) < AUTOMATON_THRESHOLD:
-            self.lane = SUBSTRING_LANE
-        elif len(guards) <= BATCH_GUARD_LIMIT and len(self.words) <= BATCH_WORD_LIMIT:
-            self.lane = JOINED_LANE
-        else:
-            self.lane = WALK_LANE
 
     # -- introspection ------------------------------------------------------------
     def __len__(self) -> int:
@@ -241,9 +260,13 @@ class PackedAutomaton:
 
     @property
     def memory_bytes(self) -> int:
-        """Total size of the packed tables (not the word list)."""
-        arrays = (self._out_offsets, self._out_words, self._delta)
-        return len(self._translate) + sum(len(a) * a.itemsize for a in arrays)
+        """Size of what the lanes read: the encoded words, plus the walk
+        lane's translate map and DFA arrays once built."""
+        size = sum(len(word) for word in self._encoded)
+        if self._delta is not None:
+            arrays = (self._out_offsets, self._out_words, self._delta)
+            size += len(self._translate) + sum(len(a) * a.itemsize for a in arrays)
+        return size
 
     # -- scanning -----------------------------------------------------------------
     def find(self, text: Union[str, bytes]) -> Set[int]:
@@ -268,6 +291,8 @@ class PackedAutomaton:
         return [{i for i, word in enumerate(words) if word in data} for data in encoded]
 
     def _find_walk(self, encoded: Sequence[bytes]) -> List[Set[int]]:
+        if self._delta is None:  # another lane's vocabulary, walked directly
+            self._build_tables()
         delta = self._delta
         boundary = self._out_boundary
         outputs = self._out_by_state
@@ -330,14 +355,19 @@ class PackedAutomaton:
 
     # -- serialization ------------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """Self-describing blob: header, word list, alphabet map, packed tables."""
+        """Self-describing blob: header, word list, alphabet map, packed tables.
+
+        Only the walk lane ships its tables; the other lanes write empty ones
+        (zero states), even after a direct :meth:`_find_walk` built them.
+        """
+        walk = self.lane == WALK_LANE
         header = _HEADER.pack(
             _MAGIC,
             _FORMAT_VERSION,
-            self._delta.itemsize,
-            self.alphabet_size,
-            self.state_count,
-            self._out_first,
+            array("i").itemsize,
+            self.alphabet_size if walk else 0,
+            self.state_count if walk else 0,
+            self._out_first if walk else 0,
             len(self.words),
         )
         parts = [header]
@@ -347,9 +377,13 @@ class PackedAutomaton:
             word_blob += word
         parts.append(struct.pack("<i", len(word_blob)))
         parts.append(bytes(word_blob))
-        parts.append(self._translate)
-        for arr in (self._out_offsets, self._out_words, self._delta):
-            raw = arr.tobytes()
+        if walk:
+            parts.append(self._translate)
+            raws = [a.tobytes() for a in (self._out_offsets, self._out_words, self._delta)]
+        else:
+            parts.append(bytes(256))
+            raws = [b"", b"", b""]
+        for raw in raws:
             parts.append(struct.pack("<i", len(raw)))
             parts.append(raw)
         return b"".join(parts)
@@ -408,12 +442,18 @@ class PackedAutomaton:
         self = cls.__new__(cls)
         self.words = words
         self._encoded = encoded
+        self._finalize()
+        if self.lane != WALK_LANE:
+            return self  # an older blob may carry tables here; nothing reads them
+        if not states:
+            self._build_tables()
+            return self
         self.alphabet_size = alphabet
         self.state_count = states
         self._out_first = out_first
         self._translate = translate
         self._out_offsets, self._out_words, self._delta = (load(raw) for raw in raws)
-        self._finalize()
+        self._index_outputs()
         return self
 
     def __reduce__(self):

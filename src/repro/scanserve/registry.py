@@ -32,6 +32,7 @@ registry.
 
 from __future__ import annotations
 
+import gc
 import pickle
 import threading
 import time
@@ -138,7 +139,16 @@ class RulesetVersion:
     def from_bytes(cls, blob: bytes) -> "RulesetVersion":
         if not blob.startswith(_VERSION_BLOB_MAGIC):
             raise ValueError("not a RulesetVersion blob")
-        version = pickle.loads(blob[len(_VERSION_BLOB_MAGIC):])
+        # unpickling allocates the whole rule graph (hundreds of thousands of
+        # container objects for a registry-scale set) and none of it is
+        # garbage, so the cycle collector's passes over it are pure waste
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            version = pickle.loads(blob[len(_VERSION_BLOB_MAGIC):])
+        finally:
+            if collecting:
+                gc.enable()
         if not isinstance(version, cls):
             raise ValueError(f"blob decoded to {type(version).__name__}, not {cls.__name__}")
         return version

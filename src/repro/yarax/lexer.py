@@ -1,7 +1,19 @@
-"""Tokenizer for YARA rule source text."""
+"""Tokenizer for YARA rule source text.
+
+One master regular expression, a named group per token kind, reads the
+source token by token; the loop dispatches on the group that matched and
+counts the newlines between consecutive token starts for line numbers.
+Letters and digits are matched as ASCII in the master; a non-ASCII
+character falls through to the ``other`` group and is classified with
+``str.isdigit`` and ``str.isalpha``, so non-ASCII source keeps the
+classification the YARA reader has always used (``\\d`` is narrower than
+``isdigit``: ``²`` is a digit only to the latter).  Word and identifier
+tails use ``\\w``, which is exactly ``str.isalnum()`` or ``_``.
+"""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.yarax.errors import YaraSyntaxError
@@ -24,7 +36,36 @@ KEYWORDS = {
     "fullword", "import", "private", "global", "at", "in",
 }
 
-_PUNCTUATION = ("<=", ">=", "==", "!=", "{", "}", "(", ")", ":", "=", ",", "<", ">", "*", "..", "[", "]", "-")
+# Group 1 takes the blanks and comments before a token; the token's
+# alternatives are then tried in order.  A string or regex body is read
+# greedily and its closing delimiter is optional, so the body never
+# backtracks and a missing delimiter is reported, not re-read as
+# punctuation.  In a string ``\x`` takes the next two characters whatever
+# they are and any other backslash takes one; in a regex every backslash
+# takes one.
+_MASTER = re.compile(
+    r"""
+    ((?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*)
+    (?:
+      (?P<word>[A-Za-z_]\w*)
+    | (?P<punct><=|>=|==|!=|\.\.|[{}():=,<>*\[\]-])
+    | (?P<string_id>\$\w*\*?)
+    | (?P<string>"(?:[^"\\\n]+|\\x.{0,2}|\\.?)*)(?P<string_end>")?
+    | (?P<open_comment>/\*)
+    | (?P<regex>/(?:[^/\\\n]+|\\.?)*)(?P<regex_end>/[is]*)?
+    | (?P<string_count>\#\w*\*?)
+    | (?P<hex_integer>0[xX][0-9a-fA-F]*)
+    | (?P<integer>[0-9]+)
+    | (?P<end>\Z)
+    | (?P<other>.)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_STRING_ESCAPE = re.compile(r"\\(x.{0,2}|.?)", re.DOTALL)
+_SIMPLE_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+_WORD_TAIL = re.compile(r"\w*")
 
 
 @dataclass(frozen=True)
@@ -38,195 +79,117 @@ class Token:
         return f"Token({self.type}, {self.value!r}, line={self.line})"
 
 
-class Lexer:
-    """Convert YARA source text into a list of tokens."""
+def _position(source: str, offset: int) -> tuple[int, int]:
+    """Line and column of ``offset`` (both 1-based; every character is one column)."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self.tokens: list[Token] = []
-        # Hex strings look like '{ AB CD }' which collides with rule bodies;
-        # the lexer only treats '{' as a hex string opener right after '='
-        # inside a strings section.  We approximate by tracking whether the
-        # previous significant token was '='.
-        self._previous_was_assign = False
 
-    # -- helpers -----------------------------------------------------------
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.source[index] if index < len(self.source) else ""
+def _integer_end(source: str, index: int) -> int:
+    """Index past an integer whose digits continue at ``index``: any further
+    ``isdigit`` characters, then an optional ``KB``/``MB`` multiplier."""
+    end = len(source)
+    while index < end and source[index].isdigit():
+        index += 1
+    if source.startswith(("KB", "MB"), index):
+        index += 2
+    return index
 
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos : self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return text
 
-    def _error(self, message: str) -> YaraSyntaxError:
-        return YaraSyntaxError(message, line=self.line, column=self.column)
+def _unescape(source: str, start: int, stop: int) -> str:
+    """The value of the string literal body ``source[start:stop]``."""
+    body = source[start:stop]
+    if "\\" not in body:
+        return body
 
-    def _emit(self, token_type: str, value: str, line: int, column: int) -> None:
-        self.tokens.append(Token(token_type, value, line, column))
-        self._previous_was_assign = token_type == PUNCT and value == "="
+    def replace(escape: re.Match) -> str:
+        escaped = escape.group(1)
+        if escaped[:1] == "x":
+            code = escaped[1:]
+            try:
+                return chr(int(code, 16))
+            except ValueError as exc:
+                line, column = _position(source, start + escape.end())
+                raise YaraSyntaxError(
+                    f"invalid hex escape: \\x{code}", line=line, column=column
+                ) from exc
+        simple = _SIMPLE_ESCAPES.get(escaped)
+        return simple if simple is not None else "\\" + escaped
 
-    # -- main loop -----------------------------------------------------------
-    def tokenize(self) -> list[Token]:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-                continue
-            if ch == "/" and self._peek(1) == "/":
-                self._skip_line_comment()
-                continue
-            if ch == "/" and self._peek(1) == "*":
-                self._skip_block_comment()
-                continue
-            line, column = self.line, self.column
-            if ch == '"':
-                self._emit(STRING_LITERAL, self._read_string_literal(), line, column)
-            elif ch == "/":
-                self._emit(REGEX_LITERAL, self._read_regex_literal(), line, column)
-            elif ch == "{" and self._previous_was_assign:
-                self._emit(HEX_STRING, self._read_hex_string(), line, column)
-            elif ch == "$":
-                self._emit(STRING_ID, self._read_dollar_identifier(), line, column)
-            elif ch == "#":
-                self._emit(STRING_COUNT, self._read_dollar_identifier(), line, column)
-            elif ch.isdigit():
-                self._emit(INTEGER, self._read_integer(), line, column)
-            elif ch.isalpha() or ch == "_":
-                word = self._read_word()
-                self._emit(KEYWORD if word in KEYWORDS else IDENTIFIER, word, line, column)
-            else:
-                punct = self._read_punct()
-                self._emit(PUNCT, punct, line, column)
-        self.tokens.append(Token(EOF, "", self.line, self.column))
-        return self.tokens
-
-    # -- readers ---------------------------------------------------------------
-    def _skip_line_comment(self) -> None:
-        while self.pos < len(self.source) and self._peek() != "\n":
-            self._advance()
-
-    def _skip_block_comment(self) -> None:
-        start_line = self.line
-        self._advance(2)
-        while self.pos < len(self.source):
-            if self._peek() == "*" and self._peek(1) == "/":
-                self._advance(2)
-                return
-            self._advance()
-        raise YaraSyntaxError("unterminated block comment", line=start_line)
-
-    def _read_string_literal(self) -> str:
-        start_line = self.line
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            if self.pos >= len(self.source) or self._peek() == "\n":
-                raise YaraSyntaxError("unterminated string literal", line=start_line)
-            ch = self._advance()
-            if ch == "\\":
-                escaped = self._advance()
-                if escaped == "n":
-                    chars.append("\n")
-                elif escaped == "t":
-                    chars.append("\t")
-                elif escaped in ('"', "\\"):
-                    chars.append(escaped)
-                elif escaped == "x":
-                    code = self._advance(2)
-                    try:
-                        chars.append(chr(int(code, 16)))
-                    except ValueError as exc:
-                        raise self._error(f"invalid hex escape: \\x{code}") from exc
-                else:
-                    chars.append("\\" + escaped)
-                continue
-            if ch == '"':
-                return "".join(chars)
-            chars.append(ch)
-
-    def _read_regex_literal(self) -> str:
-        start_line = self.line
-        self._advance()  # opening slash
-        chars: list[str] = []
-        while True:
-            if self.pos >= len(self.source) or self._peek() == "\n":
-                raise YaraSyntaxError("unterminated regular expression", line=start_line)
-            ch = self._advance()
-            if ch == "\\":
-                chars.append(ch + self._advance())
-                continue
-            if ch == "/":
-                # optional regex modifiers (i, s) directly after the slash are
-                # folded into an inline flag group understood by Python's re.
-                flags = ""
-                while self._peek() in ("i", "s"):
-                    flags += self._advance()
-                pattern = "".join(chars)
-                if flags:
-                    pattern = f"(?{flags})" + pattern
-                return pattern
-            chars.append(ch)
-
-    def _read_hex_string(self) -> str:
-        start_line = self.line
-        self._advance()  # opening brace
-        chars: list[str] = []
-        while True:
-            if self.pos >= len(self.source):
-                raise YaraSyntaxError("unterminated hex string", line=start_line)
-            ch = self._advance()
-            if ch == "}":
-                return "".join(chars).strip()
-            chars.append(ch)
-
-    def _read_dollar_identifier(self) -> str:
-        prefix = self._advance()  # '$' or '#'
-        chars = [prefix]
-        while self._peek().isalnum() or self._peek() == "_":
-            chars.append(self._advance())
-        if self._peek() == "*":
-            chars.append(self._advance())
-        return "".join(chars)
-
-    def _read_integer(self) -> str:
-        chars = []
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            chars.append(self._advance(2))
-            while self._peek() in "0123456789abcdefABCDEF":
-                chars.append(self._advance())
-            return "".join(chars)
-        while self._peek().isdigit():
-            chars.append(self._advance())
-        # size multipliers KB / MB
-        if self._peek(0) in ("K", "M") and self._peek(1) == "B":
-            chars.append(self._advance(2))
-        return "".join(chars)
-
-    def _read_word(self) -> str:
-        chars = []
-        while self._peek().isalnum() or self._peek() == "_":
-            chars.append(self._advance())
-        return "".join(chars)
-
-    def _read_punct(self) -> str:
-        for punct in _PUNCTUATION:
-            if self.source.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return punct
-        raise self._error(f"unexpected character: {self._peek()!r}")
+    return _STRING_ESCAPE.sub(replace, body)
 
 
 def tokenize(source: str) -> list[Token]:
-    """Tokenize YARA source text."""
-    return Lexer(source).tokenize()
+    """Tokenize YARA source text into an EOF-terminated token list."""
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _MASTER.match
+    pos = 0
+    line = 1
+    line_start = 0  # offset of the current line's first character
+    counted = 0  # the newlines before this offset are counted in ``line``
+    # '{' opens a hex string only right after '=' (comments and blanks
+    # between them do not count as tokens)
+    previous_was_assign = False
+    while True:
+        found = match(source, pos)
+        start = found.end(1)
+        newlines = source.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = source.rindex("\n", counted, start) + 1
+        counted = start
+        column = start - line_start + 1
+        kind = found.lastgroup
+        if kind == "end":
+            break
+        stop = found.end()
+        value = source[start:stop]
+        if kind == "word":
+            token_type = KEYWORD if value in KEYWORDS else IDENTIFIER
+        elif kind == "punct":
+            token_type = PUNCT
+            if value == "{" and previous_was_assign:
+                close = source.find("}", start + 1)
+                if close == -1:
+                    raise YaraSyntaxError("unterminated hex string", line=line)
+                value = source[start + 1 : close].strip()
+                token_type = HEX_STRING
+                stop = close + 1
+        elif kind == "string_id":
+            token_type = STRING_ID
+        elif kind == "string" or kind == "string_end":
+            value = _unescape(source, start + 1, found.end("string"))
+            if kind == "string":
+                raise YaraSyntaxError("unterminated string literal", line=line)
+            token_type = STRING_LITERAL
+        elif kind == "regex" or kind == "regex_end":
+            if kind == "regex":
+                raise YaraSyntaxError("unterminated regular expression", line=line)
+            value = source[start + 1 : found.end("regex")]
+            flags = source[found.start("regex_end") + 1 : stop]
+            if flags:  # folded into an inline flag group Python's re understands
+                value = f"(?{flags})" + value
+            token_type = REGEX_LITERAL
+        elif kind == "string_count":
+            token_type = STRING_COUNT
+        elif kind == "hex_integer":
+            token_type = INTEGER
+        elif kind == "open_comment":
+            raise YaraSyntaxError("unterminated block comment", line=line)
+        elif kind == "integer" or value.isdigit():  # or a non-ASCII digit
+            stop = _integer_end(source, stop)
+            value = source[start:stop]
+            token_type = INTEGER
+        elif value.isalpha():  # a non-ASCII letter starts a word
+            stop = _WORD_TAIL.match(source, stop).end()
+            value = source[start:stop]
+            token_type = KEYWORD if value in KEYWORDS else IDENTIFIER
+        else:
+            raise YaraSyntaxError(
+                f"unexpected character: {value!r}", line=line, column=column
+            )
+        append(Token(token_type, value, line, column))
+        previous_was_assign = token_type == PUNCT and value == "="
+        pos = stop
+    append(Token(EOF, "", line, column))
+    return tokens

@@ -8,11 +8,12 @@ from dataclasses import dataclass, field
 from repro.yarax import ast_nodes as ast
 from repro.yarax.errors import YaraCompilationError
 
-_WORD_CHARS = re.compile(r"\w")
-
 # escapes that stand for a character class / anchor rather than one literal char
 _NONLITERAL_ESCAPES = set("dDwWsSbBAZ0123456789")
 _CONTROL_ESCAPES = {"n": "\n", "r": "\r", "t": "\t", "f": "\f", "v": "\v", "a": "\a"}
+
+# a hex-string jump without its brackets and blanks: ``n``, ``n-m``, ``n-`` or ``-``
+_JUMP = re.compile(r"([0-9]+)|([0-9]*)-([0-9]*)")
 
 
 def _parse_quantifier(pattern: str, index: int) -> tuple[int, int] | None:
@@ -187,13 +188,29 @@ class RuleMatch:
 
 
 class CompiledString:
-    """A string definition compiled into an executable matcher."""
+    """A string definition compiled into an executable matcher.
+
+    The matcher keeps its pattern's source and flags and compiles the
+    ``re.Pattern`` on the first :meth:`search` or :meth:`find`.  Pickling
+    carries the source, never the compiled pattern, so a recovered registry
+    compiles nothing until a scan probes a string.  Construction still
+    compiles, and so validates, regex and hex strings; a text string's
+    ``re.escape``-built pattern cannot fail, so it waits for its first probe.
+    """
+
+    __slots__ = (
+        "definition", "identifier", "_rule_name", "_source", "_flags",
+        "_plain_value", "_regex",
+    )
 
     def __init__(self, definition: ast.StringDef, rule_name: str) -> None:
         self.definition = definition
         self.identifier = definition.identifier
         self._rule_name = rule_name
-        self._regex = self._build_regex(definition)
+        self._source, self._flags = self._build_pattern(definition)
+        self._regex: re.Pattern[str] | None = None
+        if definition.kind != ast.TEXT:
+            self._compile()
         # a plain text string (no modifiers) matches iff its value occurs as
         # a substring, so existence checks can use C-speed ``in``
         self._plain_value = (
@@ -203,8 +220,30 @@ class CompiledString:
             else None
         )
 
+    # -- pickling ------------------------------------------------------------------
+    def __getstate__(self):
+        return (self.definition, self._rule_name, self._source, self._flags, self._plain_value)
+
+    def __setstate__(self, state) -> None:
+        regex = None
+        if isinstance(state, dict):
+            # the layout before lazy compilation: an instance ``__dict__``
+            # whose ``_regex`` the unpickler has already compiled
+            regex = state["_regex"]
+            state = (
+                state["definition"],
+                state["_rule_name"],
+                regex.pattern,
+                regex.flags,
+                state["_plain_value"],
+            )
+        self.definition, self._rule_name, self._source, self._flags, self._plain_value = state
+        self.identifier = self.definition.identifier
+        self._regex = regex
+
     # -- compilation -----------------------------------------------------------
-    def _build_regex(self, definition: ast.StringDef) -> re.Pattern[str]:
+    def _build_pattern(self, definition: ast.StringDef) -> tuple[str, int]:
+        """The regex source and flags that implement ``definition``."""
         flags = re.IGNORECASE if "nocase" in definition.modifiers else 0
         if definition.kind == ast.TEXT:
             if definition.value == "":
@@ -228,23 +267,30 @@ class CompiledString:
             pattern = self._hex_to_regex(definition.value)
         else:  # pragma: no cover - StringDef validates kinds
             raise YaraCompilationError(f"unsupported string kind {definition.kind}")
-        try:
-            return re.compile(pattern, flags | re.DOTALL)
-        except re.error as exc:
-            raise YaraCompilationError(
-                f"invalid regular expression in string {definition.identifier}: {exc}",
-                rule_name=self._rule_name,
-            ) from exc
+        return pattern, flags | re.DOTALL
+
+    def _compile(self) -> re.Pattern[str]:
+        """The compiled pattern, built into its slot on first use."""
+        regex = self._regex
+        if regex is None:
+            try:
+                regex = self._regex = re.compile(self._source, self._flags)
+            except (re.error, OverflowError) as exc:
+                raise YaraCompilationError(
+                    f"invalid regular expression in string {self.identifier}: {exc}",
+                    rule_name=self._rule_name,
+                ) from exc
+        return regex
 
     def _hex_to_regex(self, hex_body: str) -> str:
-        """Translate a hex string body (``AB ?? CD [2-4]``) into a regex."""
+        """Translate a hex string body (``AB ?? C? [2-4] [3-]``) into a regex."""
         parts: list[str] = []
         tokens = hex_body.replace("[", " [ ").replace("]", " ] ").split()
         index = 0
         while index < len(tokens):
             token = tokens[index]
             if token == "[":
-                # jump: [n] or [n-m]
+                # jump: [n], [n-m], [n-] or [-]
                 try:
                     closing = tokens.index("]", index)
                 except ValueError as exc:
@@ -252,19 +298,17 @@ class CompiledString:
                         f"unterminated jump in hex string {self.identifier}",
                         rule_name=self._rule_name,
                     ) from exc
-                jump = "".join(tokens[index + 1 : closing])
-                if "-" in jump:
-                    low, high = jump.split("-", 1)
-                    parts.append(f".{{{int(low)},{int(high)}}}")
-                else:
-                    parts.append(f".{{{int(jump)}}}")
+                parts.append(self._jump_to_regex("".join(tokens[index + 1 : closing])))
                 index = closing + 1
                 continue
             if token == "??":
                 parts.append(".")
             elif len(token) == 2 and all(c in "0123456789abcdefABCDEF?" for c in token):
-                if "?" in token:
-                    parts.append(".")
+                if token[0] == "?":  # ?N: the 16 bytes whose low nibble is N
+                    members = "".join(f"\\x{high:x}{token[1]}" for high in range(16))
+                    parts.append(f"[{members}]")
+                elif token[1] == "?":  # N?: the 16 bytes whose high nibble is N
+                    parts.append(f"[\\x{token[0]}0-\\x{token[0]}f]")
                 else:
                     parts.append(re.escape(chr(int(token, 16))))
             else:
@@ -279,10 +323,27 @@ class CompiledString:
             )
         return "".join(parts)
 
+    def _jump_to_regex(self, jump: str) -> str:
+        """``n`` -> ``.{n}``, ``n-m`` -> ``.{n,m}``, ``n-`` -> ``.{n,}``, ``-`` -> ``.*``."""
+        found = _JUMP.fullmatch(jump)
+        if found is not None:
+            exact, low, high = found.groups()
+            if exact is not None:
+                return f".{{{int(exact)}}}"
+            if not low and not high:
+                return ".*"
+            if low and not high:
+                return f".{{{int(low)},}}"
+            if low and int(low) <= int(high):
+                return f".{{{int(low)},{int(high)}}}"
+        raise YaraCompilationError(
+            f"invalid jump in hex string {self.identifier}", rule_name=self._rule_name
+        )
+
     # -- atoms -------------------------------------------------------------------
     @property
     def case_insensitive(self) -> bool:
-        return bool(self._regex.flags & re.IGNORECASE)
+        return bool(self._flags & re.IGNORECASE)
 
     def atoms(self, min_length: int = 3) -> tuple[str, ...]:
         """Literal substrings guaranteed to occur in any match of this string.
@@ -293,7 +354,7 @@ class CompiledString:
         discarded (too unselective to be worth indexing); an empty result
         means "no usable atom — evaluate this string unconditionally".
         """
-        runs = required_literal_runs(self._regex.pattern)
+        runs = required_literal_runs(self._source)
         return tuple(run for run in runs if len(run) >= min_length)
 
     # -- matching ----------------------------------------------------------------
@@ -301,11 +362,11 @@ class CompiledString:
         """Whether the string occurs at all (early-exit; no match collection)."""
         if self._plain_value is not None:
             return self._plain_value in data
-        return self._regex.search(data) is not None
+        return self._compile().search(data) is not None
 
     def find(self, data: str, max_matches: int = 1000) -> list[StringMatch]:
         matches: list[StringMatch] = []
-        for found in self._regex.finditer(data):
+        for found in self._compile().finditer(data):
             matches.append(StringMatch(self.identifier, found.start(), found.group(0)))
             if len(matches) >= max_matches:
                 break

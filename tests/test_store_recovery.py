@@ -5,6 +5,7 @@ crash injection mid-publish, and recovery without recompilation
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -40,6 +41,16 @@ def _ruleset(*rules: GeneratedRule) -> GeneratedRuleSet:
 def _store(tmp_path, name="store"):
     store, report = open_store(tmp_path / name, durable=False)
     return store, report
+
+
+def _compiled_strings(version) -> set[tuple[str, str]]:
+    """``(rule, string)`` pairs whose regex has been compiled."""
+    return {
+        (rule.name, string.identifier)
+        for rule in version.yara.rules
+        for string in rule.strings
+        if string._regex is not None
+    }
 
 
 class TestBlobStore:
@@ -223,12 +234,19 @@ class TestRegistryRecovery:
 
     def test_recovery_never_recompiles(self, tmp_path, monkeypatch):
         """The acceptance criterion: snapshot blobs restore compiled versions
-        byte-for-byte, so recovery must not touch either compiler."""
+        byte-for-byte, so recovery must not touch either compiler, and no
+        string compiles its pattern until a scan probes it."""
+        probed = GeneratedRule(
+            format="yara",
+            name="r3",
+            text='rule r3 { strings: $a = /needle_[0-9]+/ $b = "needle_three" nocase '
+            "condition: $a or $b }",
+        )
         store, _ = _store(tmp_path)
         with store:
             registry = RulesetRegistry(store=store)
             registry.publish_generated(
-                _ruleset(_rule("r1", "needle_one"), _rule("r2", "needle_two")),
+                _ruleset(_rule("r1", "needle_one"), _rule("r2", "needle_two"), probed),
                 label="compiled-once",
             )
             registry.snapshot()
@@ -245,11 +263,62 @@ class TestRegistryRecovery:
         store, _ = _store(tmp_path)
         with store:
             recovered = RulesetRegistry.from_store(store)
-            assert recovered.current().rule_count == 2
+            version = recovered.current()
+            assert version.rule_count == 3
+            assert _compiled_strings(version) == set()
+            # one indexed scan: r1 and r3 are candidates; r1's plain string
+            # is a substring check, r3's $b is blocked by its absent gate
+            # literal, so only r3's regex compiles
+            assert version.index.yara_rule_names("x = 'needle_one'") == ["r1"]
+            assert _compiled_strings(version) == {("r3", "$a")}
             # and the recovered version still *matches* — proof the compiled
             # matchers came back, not just metadata
-            matched = recovered.current().yara.match("x = 'needle_one'")
+            matched = version.yara.match("x = 'needle_one'")
             assert [m.rule_name for m in matched] == ["r1"]
+
+    def test_store_with_pre_lazy_string_layout_recovers(self, tmp_path, monkeypatch):
+        """Version blobs written when each string pickled its compiled
+        ``_regex`` in an instance ``__dict__`` still recover and match."""
+        import repro.yarax.matcher as matcher
+
+        def old_layout(self):
+            return {
+                "definition": self.definition,
+                "identifier": self.identifier,
+                "_rule_name": self._rule_name,
+                "_regex": re.compile(self._source, self._flags),
+                "_plain_value": self._plain_value,
+            }
+
+        store, _ = _store(tmp_path)
+        with store:
+            registry = RulesetRegistry(store=store)
+            with monkeypatch.context() as patched:
+                patched.setattr(matcher.CompiledString, "__getstate__", old_layout)
+                registry.publish_generated(_ruleset(_rule("r1", "needle_one")), label="old")
+                registry.publish_generated(
+                    _ruleset(_rule("r1", "needle_one"), _rule("r2", "Needle_Two")),
+                    label="old",
+                )
+                registry.snapshot()
+
+        store, _ = _store(tmp_path)
+        with store:
+            recovered = RulesetRegistry.from_store(store)
+            assert recovered.versions() == [1, 2]
+            assert recovered.recovery_notes == []
+            for number in (1, 2):
+                version = recovered.get(number)
+                fresh = registry.get(number)
+                # the older layout carried compiled patterns; they are kept
+                assert len(_compiled_strings(version)) == number
+                for text in ("x = 'needle_one'", "Needle_Two", "needle_two", ""):
+                    assert version.index.yara_rule_names(text) == (
+                        fresh.index.yara_rule_names(text)
+                    )
+                    assert [m.rule_name for m in version.yara.match(text)] == [
+                        m.rule_name for m in fresh.yara.match(text)
+                    ]
 
 
 class TestCrashInjection:

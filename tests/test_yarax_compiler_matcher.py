@@ -1,5 +1,8 @@
 """Tests for YARA compilation semantics and matching."""
 
+import pickle
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,3 +211,92 @@ def test_text_string_pattern_always_compiles(value, modifiers):
     compiled = CompiledString(definition, "text_rule")
     assert compiled.search(value)
     assert compiled.find(value)
+
+
+# -- hex strings and repeat overflow --------------------------------------------------
+
+
+def _hex_rule(body: str) -> str:
+    return "rule h { strings: $h = %s condition: $h }" % body
+
+
+@pytest.mark.parametrize(
+    "body, reason",
+    [
+        ("{ 41 [a-b] 42 }", "invalid jump in hex string $h"),
+        ("{ 41 [3-2] 42 }", "invalid jump in hex string $h"),
+        ("{ 41 [-3] 42 }", "invalid jump in hex string $h"),
+        ("{ 41 [] 42 }", "invalid jump in hex string $h"),
+        ("{ 41 [2 42 }", "unterminated jump in hex string $h"),
+        (
+            "{ 41 [99999999999] 42 }",
+            "invalid regular expression in string $h: the repetition number is too large",
+        ),
+    ],
+)
+def test_malformed_hex_jumps_are_compilation_errors(body, reason):
+    assert try_compile(_hex_rule(body)) == (None, f'compilation error: rule "h": {reason}')
+
+
+def test_repeat_overflow_is_a_compilation_error():
+    with pytest.raises(YaraCompilationError) as caught:
+        compile_one("rule r { strings: $a = /a{99999999999}/ condition: $a }")
+    assert str(caught.value) == (
+        'compilation error: rule "r": invalid regular expression in string $a: '
+        "the repetition number is too large"
+    )
+
+
+@pytest.mark.parametrize(
+    "body, matching, missing",
+    [
+        ("{ 41 [2-] 42 }", ["AxxB", "AxxxxxxB"], ["AxB", "AB"]),
+        ("{ 41 [-] 42 }", ["AB", "AxxxxB"], ["BA"]),
+        ("{ 41 4? 43 }", ["A@C", "AOC", "AAC"], ["AZC", "A0C"]),
+        ("{ 41 ?3 43 }", ["ASC", "A#C", "A\xf3C", "A\x03C"], ["ATC", "A4C"]),
+    ],
+)
+def test_open_jumps_and_nibble_wildcards(body, matching, missing):
+    rules = compile_one(_hex_rule(body))
+    assert all(rules.match(text) for text in matching)
+    assert not any(rules.match(text) for text in missing)
+
+
+_OLD_LAYOUT_STRINGS = [
+    ast.StringDef("$t", ast.TEXT, "needle"),
+    ast.StringDef("$n", ast.TEXT, "Needle", modifiers=("nocase", "fullword")),
+    ast.StringDef("$w", ast.TEXT, "wide", modifiers=("wide",)),
+    ast.StringDef("$r", ast.REGEX, "(?i)ne+dle[0-9]*"),
+    ast.StringDef("$h", ast.HEX, "6E ?? 65 [1-2] 6C"),
+]
+
+
+@pytest.mark.parametrize("definition", _OLD_LAYOUT_STRINGS, ids=lambda d: d.identifier)
+def test_string_pickled_in_the_pre_lazy_layout_matches_like_a_fresh_one(
+    definition, monkeypatch
+):
+    """Before lazy compilation a string pickled its instance ``__dict__``,
+    compiled ``_regex`` included; that state still loads."""
+    fresh = CompiledString(definition, "layout_rule")
+
+    def old_layout(self):
+        return {
+            "definition": self.definition,
+            "identifier": self.identifier,
+            "_rule_name": self._rule_name,
+            "_regex": re.compile(self._source, self._flags),
+            "_plain_value": self._plain_value,
+        }
+
+    with monkeypatch.context() as patched:
+        patched.setattr(CompiledString, "__getstate__", old_layout)
+        blob = pickle.dumps(fresh)
+    restored = pickle.loads(blob)
+    assert restored.identifier == fresh.identifier
+    assert restored._regex is not None
+    assert restored.atoms() == fresh.atoms()
+    for text in ("needle", "a NEEDLE b", "w\x00i\x00d\x00e", "neeedle42", "nXeXXl", ""):
+        assert restored.search(text) == fresh.search(text)
+        assert restored.find(text) == fresh.find(text)
+    # and the current layout pickles the source, never the compiled pattern
+    assert pickle.loads(pickle.dumps(restored))._regex is None
