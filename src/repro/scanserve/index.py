@@ -266,7 +266,7 @@ class RuleIndex:
                 cs.identifier: 1 if cs._plain_value is not None else 2
                 for cs in rule.strings
             }
-            self._yara_eval.append((list(string_atoms), ranks))
+            self._yara_eval.append(([cs.identifier for cs in rule.strings], ranks))
         for position, rule in enumerate(semgrep.rules if semgrep is not None else []):
             atoms = semgrep_rule_atoms(rule, min_atom_length)
             register(atoms, "semgrep", position)

@@ -28,11 +28,10 @@ three lanes, fixed at construction from the vocabulary alone:
 
 The tables serialize: :meth:`to_bytes` emits a self-describing blob (with
 empty DFA tables outside the walk lane), :meth:`from_bytes` restores it
-without re-running construction, and
-``pickle`` round-trips via the same blob — that is what lets a process-pool
-shard worker or a durable registry attach to published tables instead of
-recompiling them.  The lane is derived from the restored vocabulary, so it
-is never stored.
+without re-running construction, and ``pickle`` round-trips via the same
+blob — that is what lets a process-pool shard worker or a durable registry
+attach to published tables instead of recompiling them.  The lane is
+derived from the restored vocabulary, so it is never stored.
 
 Correctness notes (each lane is property-tested against a per-word oracle):
 
@@ -445,9 +444,6 @@ class PackedAutomaton:
         self._finalize()
         if self.lane != WALK_LANE:
             return self  # an older blob may carry tables here; nothing reads them
-        if not states:
-            self._build_tables()
-            return self
         self.alphabet_size = alphabet
         self.state_count = states
         self._out_first = out_first

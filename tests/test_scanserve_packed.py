@@ -240,6 +240,40 @@ class TestSerialization:
             expected = [_reference(vocabulary, t) for t in texts]
             assert restored.find_batch(texts) == auto.find_batch(texts) == expected
 
+    def test_only_the_walk_lane_builds_and_ships_tables(self):
+        few = [f"w{i:04d}" for i in range(AUTOMATON_THRESHOLD - 1)]
+        joined = few + ["w9999"]
+        walk = [f"w{i:04d}" for i in range(BATCH_GUARD_LIMIT + 1)]
+        texts = ["w0001 x", "y w0191 w0384"]
+        for vocabulary, lane in ((few, "substring"), (joined, "joined")):
+            auto = PackedAutomaton(vocabulary)
+            assert auto.lane == lane and auto.state_count == 0
+            empty_blob = auto.to_bytes()
+            expected = [_reference(vocabulary, t) for t in texts]
+            encoded = [t.encode() for t in texts]
+            # a direct walk builds the tables on first call ...
+            assert auto._find_walk(encoded) == expected
+            assert auto.state_count > 0
+            # ... and serialization still ships none
+            assert auto.to_bytes() == empty_blob
+            assert PackedAutomaton.from_bytes(empty_blob).find_batch(texts) == expected
+        auto = PackedAutomaton(walk)
+        assert auto.lane == "walk" and auto.state_count > 0
+        assert PackedAutomaton.from_bytes(auto.to_bytes()).state_count == auto.state_count
+
+    def test_older_blob_with_tables_for_another_lane_loads(self):
+        """Blobs written before lazy tables carry a DFA for every lane."""
+        vocabulary = [f"w{i:04d}" for i in range(AUTOMATON_THRESHOLD)]
+        auto = PackedAutomaton(vocabulary)
+        auto._find_walk([])
+        auto.lane = "walk"  # serialize the way every lane used to
+        older = auto.to_bytes()
+        auto.lane = "joined"
+        restored = PackedAutomaton.from_bytes(older)
+        assert restored.lane == "joined" and restored.state_count == 0
+        texts = ["w0001 x", "w0191"]
+        assert restored.find_batch(texts) == [_reference(vocabulary, t) for t in texts]
+
 
 # -- whole-index / registry round trips ---------------------------------------------
 
