@@ -737,17 +737,17 @@ def _cmd_scan_batch(args) -> int:
         return 1
     packages = [load_package_from_directory(path) for path in package_dirs]
 
-    service = ScanService(
+    with ScanService(
         config=ScanServiceConfig(
             shards=max(1, args.shards),
             mode=args.mode,
             match_threshold=max(1, args.threshold),
             use_index=not args.no_index,
         )
-    )
-    version = service.publish_generated(ruleset, label=str(args.rules))
-    print(f"published ruleset {version.describe()}")
-    batch = service.scan_batch(packages)
+    ) as service:
+        version = service.publish_generated(ruleset, label=str(args.rules))
+        print(f"published ruleset {version.describe()}")
+        batch = service.scan_batch(packages)
 
     malicious = _print_verdicts(package_dirs, batch)
     print(
@@ -781,40 +781,40 @@ def _cmd_pipeline(args) -> int:
         return 1
     malware, scan_targets, package_dirs = loaded
 
-    service = ScanService(
+    with ScanService(
         config=ScanServiceConfig(
             shards=max(1, args.shards),
             mode=args.mode,
             match_threshold=max(1, args.threshold),
         )
-    )
-    session = GenerationSession(
-        config=RuleLLMConfig.full(model=args.model, seed=args.seed),
-        registry=service.registry,
-    )
+    ) as service:
+        session = GenerationSession(
+            config=RuleLLMConfig.full(model=args.model, seed=args.seed),
+            registry=service.registry,
+        )
 
-    batches = max(1, min(args.batches, len(malware)))
-    chunk = -(-len(malware) // batches)  # ceil division
-    total_batches = -(-len(malware) // chunk)  # may be < --batches
-    for start in range(0, len(malware), chunk):
-        batch = malware[start:start + chunk]
-        index = session.add_batch(batch)
-        print(f"fed batch {index}/{total_batches} ({len(batch)} packages, "
-              f"{session.pending_count} pending)")
+        batches = max(1, min(args.batches, len(malware)))
+        chunk = -(-len(malware) // batches)  # ceil division
+        total_batches = -(-len(malware) // chunk)  # may be < --batches
+        for start in range(0, len(malware), chunk):
+            batch = malware[start:start + chunk]
+            index = session.add_batch(batch)
+            print(f"fed batch {index}/{total_batches} ({len(batch)} packages, "
+                  f"{session.pending_count} pending)")
 
-    print(f"generating rules with {args.model} ...")
-    result = session.generate(label=f"{args.model} pipeline")
-    print(result.describe())
-    if result.version is None:
-        print("no rules survived alignment; nothing published", file=sys.stderr)
-        return 1
-    print(f"published {result.version.describe()}")
-    if args.output:
-        output = result.rule_set.save(args.output)
-        print(f"wrote rule files under {output}")
+        print(f"generating rules with {args.model} ...")
+        result = session.generate(label=f"{args.model} pipeline")
+        print(result.describe())
+        if result.version is None:
+            print("no rules survived alignment; nothing published", file=sys.stderr)
+            return 1
+        print(f"published {result.version.describe()}")
+        if args.output:
+            output = result.rule_set.save(args.output)
+            print(f"wrote rule files under {output}")
 
-    # the freshly published version is already live: scan with zero glue
-    batch = service.scan_batch(scan_targets)
+        # the freshly published version is already live: scan with zero glue
+        batch = service.scan_batch(scan_targets)
     malicious = sum(
         1 for d in batch.detections if d.predicted(batch.result.match_threshold)
     )

@@ -216,8 +216,8 @@ def semgrep_rule_atoms(
             required.append(tuple(sorted({a.casefold() for a in union_identifiers})))
         else:
             degraded = True
-    if rule.regex is not None:
-        runs = [r for r in required_literal_runs(rule.regex.pattern) if r]
+    if rule.rule.pattern_regex:
+        runs = [r for r in required_literal_runs(rule.rule.pattern_regex) if r]
         # the longest run becomes the automaton atom, so it must clear
         # min_length; the shorter runs still join the all-of gate for free
         if runs and len(max(runs, key=len)) >= min_length:

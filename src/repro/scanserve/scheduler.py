@@ -4,17 +4,23 @@ The scheduler splits a batch of packages into chunks, runs a shard function
 over them on a worker pool, and reassembles results in submission order.
 Two execution lanes:
 
-* ``process`` — a :class:`concurrent.futures.ProcessPoolExecutor` with a
-  per-worker initializer (the compiled ruleset is shipped once per worker,
-  not once per task) and a bounded in-flight window: submission blocks when
-  two tasks per worker are outstanding, so an arbitrarily large batch
+* ``process`` — a :class:`concurrent.futures.ProcessPoolExecutor` kept
+  across runs.  The first run that needs it starts it with ``max_workers``
+  workers, each primed once by the initializer; later runs with the same
+  ``key`` (the name of the worker state the initializer builds, e.g. a
+  ruleset version) reuse it, and a run with another key, or after a
+  failure, replaces it.  A bounded in-flight window makes submission block
+  when two tasks per worker are outstanding, so an arbitrarily large batch
   never materialises an unbounded task queue (backpressure).
 * ``inprocess`` — the same shard function executed serially in the calling
   process; the fallback for environments where forking/spawning is
   unavailable and the deterministic lane the tests use.
 
 ``auto`` tries the process pool and degrades to in-process on any pool
-failure; ``last_mode_used`` reports what actually ran.
+failure; the report's ``mode`` says what actually ran.
+:meth:`ScanScheduler.close` shuts the kept pool down.  A scheduler that is
+collected unclosed releases its workers too: the executor's manager thread
+shuts them down once the executor is collected.
 """
 
 from __future__ import annotations
@@ -77,13 +83,18 @@ class SchedulerReport:
 
 
 class ScanScheduler:
-    """Run shard functions across a bounded worker pool."""
+    """Run shard functions across a bounded worker pool, kept across runs."""
 
     def __init__(self, mode: str = AUTO, max_workers: Optional[int] = None) -> None:
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         self.mode = mode
         self.max_workers = max_workers
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_key = None
+        # held for a whole process-lane run, so no run loses its pool to
+        # another thread's restart
+        self._pool_lock = threading.Lock()
 
     # -- execution ----------------------------------------------------------------
     def run(
@@ -92,12 +103,16 @@ class ScanScheduler:
         shard_fn: Callable,
         init_fn: Optional[Callable] = None,
         init_args: tuple = (),
+        key=None,
     ) -> SchedulerReport:
         """Apply ``shard_fn`` to every shard; results keep shard order.
 
-        ``init_fn``/``init_args`` prime per-worker state (module-level, so
-        they are picklable for the process lane and shared-global for the
-        in-process lane).
+        ``init_fn(*init_args)`` primes per-worker state: in the calling
+        process before an in-process run, and once in each worker of a new
+        pool.  ``key`` names that state.  The pool is kept while runs pass
+        an equal ``key``, and their ``init_args`` go unused; another key
+        replaces the pool.  ``init_fn`` is module-level, so a pool that
+        does not fork can pickle it.
         """
         if not shards:
             return SchedulerReport(mode=INPROCESS, shards=0, results=[])
@@ -106,7 +121,7 @@ class ScanScheduler:
         if self.mode == INPROCESS or (len(shards) == 1 and self.mode != PROCESS):
             return self._run_inprocess(shards, shard_fn, init_fn, init_args)
         try:
-            return self._run_process(shards, shard_fn, init_fn, init_args)
+            return self._run_process(shards, shard_fn, init_fn, init_args, key)
         except Exception as exc:
             if self.mode == PROCESS:
                 raise
@@ -122,26 +137,50 @@ class ScanScheduler:
             mode=INPROCESS, shards=len(shards), workers=1, results=results
         )
 
-    def _run_process(self, shards, shard_fn, init_fn, init_args) -> SchedulerReport:
-        workers = self.max_workers or min(len(shards), os.cpu_count() or 2)
-        workers = max(1, min(workers, len(shards)))
+    def _run_process(self, shards, shard_fn, init_fn, init_args, key) -> SchedulerReport:
+        workers = max(1, self.max_workers or os.cpu_count() or 2)
         max_pending = workers * 2  # in-flight window before submission blocks
         results: list = [None] * len(shards)
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=init_fn, initargs=init_args
-        ) as pool:
-            pending = {}
-            for shard_id, shard in enumerate(shards):
-                while len(pending) >= max_pending:  # backpressure: bound in-flight work
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        results[pending.pop(future)] = future.result()
-                pending[pool.submit(shard_fn, shard)] = shard_id
-            for future, shard_id in pending.items():
-                results[shard_id] = future.result()
+        with self._pool_lock:
+            if self._pool is None or self._pool_key != key:
+                self._shutdown_pool()
+                self._pool = ProcessPoolExecutor(
+                    max_workers=workers, initializer=init_fn, initargs=init_args
+                )
+                self._pool_key = key
+            try:
+                pending = {}
+                for shard_id, shard in enumerate(shards):
+                    while len(pending) >= max_pending:  # backpressure
+                        done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                        for future in done:
+                            results[pending.pop(future)] = future.result()
+                    pending[self._pool.submit(shard_fn, shard)] = shard_id
+                for future, shard_id in pending.items():
+                    results[shard_id] = future.result()
+            except BaseException:
+                # the pool may be broken (a dead worker breaks it for good),
+                # so the next run starts a fresh one
+                self._shutdown_pool()
+                raise
         return SchedulerReport(
-            mode=PROCESS, shards=len(shards), workers=workers, results=results
+            mode=PROCESS,
+            shards=len(shards),
+            workers=min(workers, len(shards)),
+            results=results,
         )
+
+    # -- lifecycle ----------------------------------------------------------------
+    def _shutdown_pool(self) -> None:
+        pool, self._pool, self._pool_key = self._pool, None, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def close(self) -> None:
+        """Shut the kept pool down and wait for its workers to exit.  A
+        later process-lane run starts a new pool."""
+        with self._pool_lock:
+            self._shutdown_pool()
 
 
 class BoundedQueue:

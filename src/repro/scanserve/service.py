@@ -8,6 +8,15 @@ shards the rest across a worker pool, and reports per-shard throughput plus
 a :class:`repro.evaluation.detector.DetectionResult` that is bit-for-bit
 identical to a naive :class:`~repro.evaluation.detector.RuleScanner` pass.
 
+A service keeps one process pool of ``shards`` workers.  Its first
+multi-shard batch starts it, and a batch on another ruleset version (after a
+publish or an ``activate``, or pinned with ``version=``) restarts it, so
+workers attach to a version once, not once per batch.  ``fork`` workers
+inherit the live compiled rules and index through the pool's ``initargs``;
+under any other start method each worker decodes one
+``RulesetVersion.to_bytes()`` blob.  :meth:`ScanService.close` (or leaving a
+``with ScanService(...)`` block) shuts the pool down.
+
 The service also keeps a bounded **recency ring** of the package
 fingerprints it scanned most recently.  Subscribed to its registry's event
 bus (``ScanServiceConfig(live_rescan=True)`` or
@@ -22,7 +31,6 @@ ring.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import threading
 import time
 from collections import OrderedDict
@@ -45,8 +53,6 @@ from repro.scanserve.registry import (
 )
 from repro.scanserve.scheduler import (
     AUTO,
-    INPROCESS,
-    PROCESS,
     ScanScheduler,
     SchedulerReport,
     ShardStats,
@@ -79,46 +85,53 @@ _SCAN_RESCANS = _METRICS.counter(
 
 # -- worker-side state -------------------------------------------------------------
 # Module level so the process lane can ship it through the pool initializer;
-# the in-process lane reuses the exact same functions against this module's
-# globals.
-_WORKER_SCANNER: Optional[RuleScanner] = None
+# the in-process lane reuses the exact same functions in the calling thread.
+# Thread-local, so services scanning in-process on several threads never
+# read each other's scanner.
+_WORKER = threading.local()
 
-#: Sentinel telling ``_worker_init`` to read the payload from
-#: ``_PARENT_PAYLOAD`` instead of its argument — the fork-lane fast path.
-_INHERIT_PAYLOAD = "__inherit_from_parent__"
 
-# Live ``(yara, semgrep, index)`` objects staged by the parent immediately
-# before the pool forks.  Fork children inherit this module's globals
-# copy-on-write, so no pickling, no blob transfer, and no regex recompile
-# happens per worker.  Spawn-style platforms never see it and take the
-# ``RulesetVersion.to_bytes()`` blob instead.
-_PARENT_PAYLOAD = None
+class _WorkerRuleset(tuple):
+    """A version's live ``(yara, semgrep, index)``, as ``_worker_init``
+    receives it.
+
+    The in-process lane reads the live objects, and so do ``fork`` workers,
+    which inherit the pool's ``initargs`` without pickling them.  Any other
+    start method pickles ``initargs`` once per worker, and this tuple
+    pickles as its version's ``to_bytes()`` blob, built on the first pickle
+    and kept, so a pool start serializes the version once.  Naive scanning
+    (no index) pickles the bare rule sets instead.
+    """
+
+    def __new__(cls, version: RulesetVersion, use_index: bool) -> "_WorkerRuleset":
+        index = version.index if use_index else None
+        ruleset = super().__new__(cls, (version.yara, version.semgrep, index))
+        ruleset.version = version
+        ruleset.blob = None
+        return ruleset
+
+    def __reduce__(self):
+        if self[2] is None:
+            return tuple, (tuple(self),)
+        if self.blob is None:
+            self.blob = self.version.to_bytes()
+        return bytes, (self.blob,)
 
 
 def _worker_init(ruleset, match_threshold: int) -> None:
     """Attach this worker to a published ruleset.
 
-    ``ruleset`` is one of:
-
-    * the :data:`_INHERIT_PAYLOAD` sentinel — the worker was forked from a
-      parent that staged live objects in :data:`_PARENT_PAYLOAD`; attach to
-      the inherited compiled rules and packed index with zero serialization;
-    * a :meth:`RulesetVersion.to_bytes` blob — the spawn-safe lane ships one
-      per worker, and the worker attaches to the publish-time compiled rules
-      *and packed index* without re-deriving anything;
-    * an ``(yara, semgrep, index)`` tuple of live objects for the in-process
-      lane (no serialization round trip needed there).
+    ``ruleset`` is the live ``(yara, semgrep, index)`` tuple (in-process,
+    or inherited by a ``fork`` worker) or a :meth:`RulesetVersion.to_bytes`
+    blob, which attaches the worker to the publish-time compiled rules
+    *and packed index* without re-deriving anything.
     """
-    global _WORKER_SCANNER
-    if isinstance(ruleset, str) and ruleset == _INHERIT_PAYLOAD:
-        assert _PARENT_PAYLOAD is not None, "no staged payload inherited"
-        yara, semgrep, index = _PARENT_PAYLOAD
-    elif isinstance(ruleset, (bytes, bytearray)):
-        version = RulesetVersion.from_bytes(bytes(ruleset))
+    if isinstance(ruleset, bytes):
+        version = RulesetVersion.from_bytes(ruleset)
         yara, semgrep, index = version.yara, version.semgrep, version.index
     else:
         yara, semgrep, index = ruleset
-    _WORKER_SCANNER = RuleScanner(
+    _WORKER.scanner = RuleScanner(
         yara_rules=yara,
         semgrep_rules=semgrep,
         match_threshold=match_threshold,
@@ -139,11 +152,12 @@ def _scan_shard(envelope) -> tuple[list, RuleCostSample, float, list]:
     folds it back into service-level aggregates.
     """
     shard, carrier = envelope
-    assert _WORKER_SCANNER is not None, "worker not initialised"
+    scanner = getattr(_WORKER, "scanner", None)
+    assert scanner is not None, "worker not initialised"
     start_wall = time.time()
     started = time.perf_counter()
     costs = RuleCostSample()
-    scanned = _WORKER_SCANNER.scan_prepared(
+    scanned = scanner.scan_prepared(
         [package for _, package in shard], cost_sink=costs
     )
     detections = [
@@ -336,11 +350,28 @@ class ScanService:
         self._subscription: Optional[int] = None
         self._on_delta: Optional[Callable[[RescanDelta], None]] = None
         self.rescans: list[RescanDelta] = []
-        # serialized-version cache for process-pool worker init (one blob per
-        # ruleset version, rebuilt only after a publish changes the version)
-        self._version_blobs: "OrderedDict[int, bytes]" = OrderedDict()
+        self._scheduler = ScanScheduler(
+            mode=self.config.mode, max_workers=max(1, self.config.shards)
+        )
         if self.config.live_rescan:
             self.enable_live_rescan()  # raises when the cache is disabled
+
+    # -- lifecycle -----------------------------------------------------------------
+    def close(self) -> None:
+        """Shut the worker pool down and stop following the registry.
+
+        A service that is collected unclosed releases its workers too.
+        """
+        self._scheduler.close()
+        if self._subscription is not None:
+            self.registry.unsubscribe(self._subscription)
+            self._subscription = None
+
+    def __enter__(self) -> "ScanService":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- publishing (delegates to the registry) ------------------------------------
     def publish(self, yara=None, semgrep=None, label: str = "") -> RulesetVersion:
@@ -357,43 +388,6 @@ class ScanService:
         skipped cost nothing and never appear.
         """
         return self.rule_costs.top_slow_rules(n, by=by)
-
-    def _ruleset_payload(self, ruleset: RulesetVersion, worker_count: int):
-        """What ``_worker_init`` receives for this batch.
-
-        The in-process lane gets the live objects (zero-copy).  When the
-        scheduler may spin up a process pool there are two lanes:
-
-        * on ``fork`` platforms the live objects are staged in
-          ``_PARENT_PAYLOAD`` right before the pool forks, so every worker
-          inherits the publish-time compiled rules and packed index
-          copy-on-write — no pickling, no regex recompile;
-        * otherwise the publish-time compiled version is shipped as one
-          ``to_bytes()`` blob per worker — cached per version, so repeat
-          batches against the same ruleset serialize once.
-
-        Naive mode (``use_index=False``) ships bare rule sets without the
-        index either way.
-        """
-        global _PARENT_PAYLOAD
-        index = ruleset.index if self.config.use_index else None
-        may_fork_pool = self.config.mode != INPROCESS and (
-            worker_count > 1 or self.config.mode == PROCESS
-        )
-        if not may_fork_pool:
-            return (ruleset.yara, ruleset.semgrep, index)
-        if multiprocessing.get_start_method() == "fork":
-            _PARENT_PAYLOAD = (ruleset.yara, ruleset.semgrep, index)
-            return _INHERIT_PAYLOAD
-        if not self.config.use_index:
-            return (ruleset.yara, ruleset.semgrep, None)
-        blob = self._version_blobs.get(ruleset.version)
-        if blob is None:
-            blob = ruleset.to_bytes()
-            self._version_blobs[ruleset.version] = blob
-            while len(self._version_blobs) > 4:
-                self._version_blobs.popitem(last=False)
-        return blob
 
     # -- scanning ------------------------------------------------------------------
     def scan_package(self, package: Package) -> PackageDetection:
@@ -463,21 +457,21 @@ class ScanService:
         if to_scan:
             num_shards = max(1, self.config.shards)
             chunks = chunk_items(to_scan, -(-len(to_scan) // num_shards))
-            scheduler = ScanScheduler(mode=self.config.mode, max_workers=num_shards)
             with tracer.span(
                 "scan.dispatch", chunks=len(chunks), mode=self.config.mode
             ):
                 # the span carrier rides inside each chunk envelope so the
                 # process lane can emit scan.chunk spans under this trace
                 carrier = tracer.carrier()
-                report = scheduler.run(
+                report = self._scheduler.run(
                     [(chunk, carrier) for chunk in chunks],
                     _scan_shard,
                     init_fn=_worker_init,
                     init_args=(
-                        self._ruleset_payload(ruleset, worker_count=len(chunks)),
+                        _WorkerRuleset(ruleset, self.config.use_index),
                         self.config.match_threshold,
                     ),
+                    key=ruleset.version,
                 )
             for shard_id, (detections, costs, seconds, span_records) in enumerate(
                 report.results
@@ -584,11 +578,6 @@ class ScanService:
         if self._subscription is None:
             self._subscription = self.registry.subscribe(self._on_registry_event)
         return self
-
-    def disable_live_rescan(self) -> None:
-        if self._subscription is not None:
-            self.registry.unsubscribe(self._subscription)
-            self._subscription = None
 
     @property
     def last_rescan(self) -> Optional[RescanDelta]:

@@ -22,14 +22,20 @@ from repro.semgrepx.rule import SemgrepRule
 
 @dataclass
 class CompiledSemgrepRule:
-    """One rule with its patterns compiled for matching."""
+    """One rule with its patterns compiled for matching.
+
+    The ``pattern-regex`` (``rule.pattern_regex``) compiles into its slot
+    when :func:`compile_rule` validates it, or else on the first
+    :meth:`_match_file`.  Pickling carries only its source, so decoding a
+    version blob compiles no Semgrep regex.
+    """
 
     rule: SemgrepRule
     either_patterns: list[Pattern] = field(default_factory=list)
     all_patterns: list[Pattern] = field(default_factory=list)
     not_patterns: list[Pattern] = field(default_factory=list)
-    regex: re.Pattern[str] | None = None
     _anchors: set[str] = field(default_factory=set)
+    _regex: re.Pattern[str] | None = field(default=None, repr=False, compare=False)
 
     @property
     def id(self) -> str:
@@ -38,6 +44,25 @@ class CompiledSemgrepRule:
     @property
     def anchors(self) -> set[str]:
         return self._anchors
+
+    # -- pickling ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_regex"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # the layout before lazy compilation kept the compiled pattern under
+        # ``regex``; the unpickler has already compiled it
+        self._regex = state.pop("regex", None)
+        self.__dict__.update(state)
+
+    def _compiled_regex(self) -> re.Pattern[str]:
+        """The ``pattern-regex``, compiled into its slot on first use."""
+        regex = self._regex
+        if regex is None:
+            regex = self._regex = re.compile(self.rule.pattern_regex)
+        return regex
 
     # -- matching -----------------------------------------------------------------
     def match_target(self, target: ScanTarget, max_findings: int = 50) -> list[SemgrepFinding]:
@@ -60,8 +85,8 @@ class CompiledSemgrepRule:
             if negative.matches(parsed.index):
                 return []
 
-        if self.regex is not None:
-            for found in self.regex.finditer(parsed.source):
+        if self.rule.pattern_regex:
+            for found in self._compiled_regex().finditer(parsed.source):
                 line = parsed.source.count("\n", 0, found.start()) + 1
                 findings.append(self._finding(path, line))
                 break  # one regex finding per file is enough for detection
@@ -166,7 +191,7 @@ def compile_rule(rule: SemgrepRule) -> CompiledSemgrepRule:
 
     if rule.pattern_regex:
         try:
-            compiled.regex = re.compile(rule.pattern_regex)
+            compiled._regex = re.compile(rule.pattern_regex)
         except re.error as exc:
             raise SemgrepPatternError(
                 f"invalid pattern-regex: {exc}", pattern=rule.pattern_regex, rule_id=rule.id

@@ -156,11 +156,11 @@ class TestFleetTracePropagation:
 
 class TestProcessShardDispatch:
     def test_process_lane_spans_come_home(self, traced):
-        service = ScanService(
+        with ScanService(
             config=ScanServiceConfig(mode="process", shards=2, enable_cache=False)
-        )
-        service.publish(yara=_rules(), label="proc rules")
-        batch = service.scan_batch(_targets("proc", count=8))
+        ) as service:
+            service.publish(yara=_rules(), label="proc rules")
+            batch = service.scan_batch(_targets("proc", count=8))
         assert batch.mode == "process"
 
         (batch_span,) = [
@@ -184,11 +184,11 @@ class TestProcessShardDispatch:
             .labels()
             .value
         )
-        service = ScanService(
+        with ScanService(
             config=ScanServiceConfig(mode="process", shards=2, enable_cache=False)
-        )
-        service.publish(yara=_rules(), label="telemetry rules")
-        batch = service.scan_batch(_targets("cost", count=8))
+        ) as service:
+            service.publish(yara=_rules(), label="telemetry rules")
+            batch = service.scan_batch(_targets("cost", count=8))
         assert batch.mode == "process"
         assert batch.packages == 8
 

@@ -1,10 +1,20 @@
 """Registry, cache, scheduler and the batch-scanning service (plus the CLI)."""
 
+import gc
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main as cli_main
+from repro.corpus.package import Package, PackageFile, PackageMetadata
 from repro.evaluation.detector import PackageDetection, RuleScanner
 from repro.obs import get_registry
 from repro.scanserve import (
@@ -12,6 +22,7 @@ from repro.scanserve import (
     RuleCostSample,
     RuleCostTracker,
     RulesetRegistry,
+    RulesetVersion,
     ScanResultCache,
     ScanScheduler,
     ScanService,
@@ -301,7 +312,10 @@ class TestScheduler:
     def test_process_run_or_fallback(self):
         scheduler = ScanScheduler(mode="auto", max_workers=2)
         chunks = chunk_items(list(enumerate(range(8))), 2)
-        report = scheduler.run(chunks, _double_shard)
+        try:
+            report = scheduler.run(chunks, _double_shard)
+        finally:
+            scheduler.close()
         flattened = sorted(v for shard in report.results for v in shard)
         assert flattened == [v * 2 for v in range(8)]
         assert report.mode in ("process", "inprocess")
@@ -339,12 +353,12 @@ class TestChunkedDispatch:
         packages = small_dataset.packages[:8]
         inproc = ScanService(config=ScanServiceConfig(mode="inprocess", enable_cache=False))
         inproc.publish(yara=_tiny_yara())
-        proc = ScanService(
+        with ScanService(
             config=ScanServiceConfig(shards=2, mode="process", enable_cache=False)
-        )
-        proc.publish(yara=_tiny_yara())
-        a = inproc.scan_batch(packages)
-        b = proc.scan_batch(packages)
+        ) as proc:
+            proc.publish(yara=_tiny_yara())
+            a = inproc.scan_batch(packages)
+            b = proc.scan_batch(packages)
         assert b.mode == "process"
         assert [(d.package, d.yara_rules) for d in a.detections] == [
             (d.package, d.yara_rules) for d in b.detections
@@ -358,10 +372,10 @@ class TestChunkedDispatch:
         registry = RulesetRegistry()
         version = registry.publish(yara=_tiny_yara())
         blob = version.to_bytes()
-        saved_scanner = service_module._WORKER_SCANNER
+        saved_scanner = getattr(service_module._WORKER, "scanner", None)
         try:
             service_module._worker_init(blob, 1)
-            worker_scanner = service_module._WORKER_SCANNER
+            worker_scanner = service_module._WORKER.scanner
             assert worker_scanner.index is not None
             live = RuleScanner.with_index(yara_rules=version.yara)
             for package in small_dataset.packages[:4]:
@@ -370,7 +384,317 @@ class TestChunkedDispatch:
                     == live.scan_package(package).yara_rules
                 )
         finally:
-            service_module._WORKER_SCANNER = saved_scanner
+            service_module._WORKER.scanner = saved_scanner
+
+
+def _needle_packages(count: int = 12) -> list[Package]:
+    """Packages that hold ``needle_a``, ``needle_b``, both or neither."""
+    needles = ("needle_a", "needle_b", "needle_a needle_b", "plain")
+    return [
+        Package(
+            name=f"pool-{i}",
+            version="1.0",
+            metadata=PackageMetadata(name=f"pool-{i}"),
+            files=[PackageFile("setup.py", f"x = '{needles[i % 4]}'  # {i}\n")],
+        )
+        for i in range(count)
+    ]
+
+
+def _verdicts(batch) -> list:
+    return [(d.package, d.yara_rules) for d in batch.detections]
+
+
+def _children() -> set[int]:
+    return {process.pid for process in multiprocessing.active_children()}
+
+
+def _wait_gone(pids: set[int], timeout: float = 10.0) -> set[int]:
+    """Poll until none of ``pids`` is a live child; returns those still alive."""
+    deadline = time.monotonic() + timeout
+    alive = pids & _children()
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.05)
+        alive = pids & _children()
+    return alive
+
+
+def _pool_service(mode: str = "process") -> ScanService:
+    """A 2-shard service whose v1 flags ``needle_a`` and v2 ``needle_b``;
+    v2 is published by the test."""
+    service = ScanService(
+        config=ScanServiceConfig(shards=2, mode=mode, enable_cache=False)
+    )
+    service.publish(yara=_tiny_yara("rule_a", "needle_a"), label="v1")
+    return service
+
+
+class TestKeptWorkerPool:
+    """One process pool per service, restarted per ruleset version."""
+
+    def test_batches_on_one_version_reuse_the_workers(self):
+        before = _children()
+        with _pool_service() as service:
+            pids = []
+            for _ in range(3):
+                batch = service.scan_batch(_needle_packages())
+                assert batch.mode == "process" and batch.workers == 2
+                pids.append(_children() - before)
+        assert len(pids[0]) == 2
+        assert pids[0] == pids[1] == pids[2]
+
+    def test_fork_workers_inherit_the_ruleset_unpickled(self, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers fork only under the fork start method")
+
+        def refuse(version):
+            raise AssertionError("a fork pool must not serialize the version")
+
+        monkeypatch.setattr(RulesetVersion, "to_bytes", refuse)
+        with _pool_service() as service:
+            assert service.scan_batch(_needle_packages()).mode == "process"
+
+    def test_publish_activate_and_pinned_versions_restart_the_pool(self):
+        packages = _needle_packages()
+        with _pool_service() as service:
+            reference = ScanService(
+                registry=service.registry,
+                config=ScanServiceConfig(mode="inprocess", enable_cache=False),
+            )
+            expected = {}
+            seen = []
+
+            def scan(version=None):
+                batch = service.scan_batch(packages, version=version)
+                assert batch.mode == "process"
+                number = batch.ruleset_version
+                if number not in expected:
+                    expected[number] = _verdicts(
+                        reference.scan_batch(packages, version=number)
+                    )
+                assert _verdicts(batch) == expected[number]
+                seen.append(number)
+
+            scan()
+            service.publish(yara=_tiny_yara("rule_b", "needle_b"), label="v2")
+            scan()
+            service.registry.activate(1)
+            scan()
+            scan(version=2)
+            scan(version=1)
+            assert seen == [1, 2, 1, 2, 1]
+            assert expected[1] != expected[2]
+
+    def test_a_killed_worker_falls_back_then_the_pool_restarts(self):
+        packages = _needle_packages()
+        before = _children()
+        with _pool_service(mode="auto") as service:
+            expected = _verdicts(service.scan_batch(packages))
+            assert service.scan_batch(packages).mode == "process"
+            workers = _children() - before
+            victim = min(workers)
+            os.kill(victim, signal.SIGKILL)
+            assert not _wait_gone({victim})
+            fallen = service.scan_batch(packages)
+            assert fallen.mode == "inprocess"
+            assert fallen.fallback_error
+            assert _verdicts(fallen) == expected
+            again = service.scan_batch(packages)
+            assert again.mode == "process" and not again.fallback_error
+            assert _verdicts(again) == expected
+            fresh = _children() - before
+            assert len(fresh) == 2 and not fresh & workers
+
+    def test_a_killed_worker_raises_in_process_mode(self):
+        packages = _needle_packages()
+        before = _children()
+        with _pool_service() as service:
+            expected = _verdicts(service.scan_batch(packages))
+            victim = min(_children() - before)
+            os.kill(victim, signal.SIGKILL)
+            assert not _wait_gone({victim})
+            with pytest.raises(Exception, match="terminated abruptly"):
+                service.scan_batch(packages)
+            assert _verdicts(service.scan_batch(packages)) == expected
+
+    def test_no_worker_outlives_close(self):
+        before = _children()
+        service = _pool_service()
+        service.scan_batch(_needle_packages())
+        workers = _children() - before
+        assert len(workers) == 2
+        service.close()
+        assert not workers & _children()
+
+    def test_no_worker_outlives_an_unclosed_collected_service(self):
+        before = _children()
+        service = _pool_service()
+        service.scan_batch(_needle_packages())
+        workers = _children() - before
+        assert len(workers) == 2
+        del service
+        gc.collect()
+        assert not _wait_gone(workers)
+
+    def test_close_unsubscribes_live_rescan(self):
+        with ScanService(config=ScanServiceConfig(live_rescan=True)) as service:
+            service.publish(yara=_tiny_yara("rule_a", "needle_a"))
+            service.scan_batch(_needle_packages(4))
+        service.publish(yara=_tiny_yara("rule_b", "needle_b"))
+        assert service.rescans == []
+
+    def test_threads_share_one_process_service(self):
+        """Threads pinning different versions make the pool swap between
+        them; every batch still gets its version's detections."""
+        packages = _needle_packages()
+        with _pool_service() as service:
+            service.publish(yara=_tiny_yara("rule_b", "needle_b"), label="v2")
+            reference = ScanService(
+                registry=service.registry,
+                config=ScanServiceConfig(mode="inprocess", enable_cache=False),
+            )
+            expected = {
+                number: _verdicts(reference.scan_batch(packages, version=number))
+                for number in (1, 2)
+            }
+            pins = (1, 2, 1)
+            outcomes: list = [[] for _ in pins]
+
+            def scan(slot):
+                for _ in range(3):
+                    batch = service.scan_batch(packages, version=pins[slot])
+                    outcomes[slot].append((batch.mode, _verdicts(batch)))
+
+            threads = [threading.Thread(target=scan, args=(slot,)) for slot in range(3)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+        for slot, number in enumerate(pins):
+            assert outcomes[slot] == [("process", expected[number])] * 3
+
+    def test_in_process_services_on_two_threads_keep_their_own_rules(self):
+        """The in-process lane's worker state is per thread: two services
+        with different rules, scanned at once, never swap scanners."""
+        packages = _needle_packages()
+        services = {}
+        expected = {}
+        for needle in ("needle_a", "needle_b"):
+            service = ScanService(
+                config=ScanServiceConfig(shards=2, mode="inprocess", enable_cache=False)
+            )
+            service.publish(yara=_tiny_yara(f"rule_{needle}", needle))
+            services[needle] = service
+            expected[needle] = _verdicts(service.scan_batch(packages))
+        wrong: list = []
+
+        def scan(needle):
+            for _ in range(40):
+                if _verdicts(services[needle].scan_batch(packages)) != expected[needle]:
+                    wrong.append(needle)
+
+        threads = [threading.Thread(target=scan, args=(n,)) for n in expected]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a shared scanner shows
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+
+_FORKSERVER_SCRIPT = """
+import json
+import multiprocessing
+
+from repro.api import RulesetVersion, ScanService, ScanServiceConfig
+from repro.core import RuleLLM, RuleLLMConfig
+from repro.corpus import DatasetConfig, build_dataset
+
+blobs = []
+to_bytes = RulesetVersion.to_bytes
+
+
+def counted_to_bytes(self):
+    blobs.append(self.version)
+    return to_bytes(self)
+
+
+def verdicts(batch):
+    return [[d.package, d.yara_rules, d.semgrep_rules] for d in batch.detections]
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("forkserver")
+    RulesetVersion.to_bytes = counted_to_bytes
+    dataset = build_dataset(DatasetConfig.small())
+    rules = RuleLLM(RuleLLMConfig.full()).generate_rules(dataset.malware)
+    outcome = {"batches": []}
+    with ScanService(
+        config=ScanServiceConfig(shards=2, mode="process", enable_cache=False)
+    ) as service:
+        reference = ScanService(
+            registry=service.registry,
+            config=ScanServiceConfig(mode="inprocess", enable_cache=False),
+        )
+        service.publish_generated(rules, label="v1")
+        for publish in (False, True):
+            if publish:
+                service.publish(yara=rules.compile_yara(), label="v2 (YARA only)")
+            for _ in range(2):
+                batch = service.scan_batch(dataset.packages)
+                expected = reference.scan_batch(
+                    dataset.packages, version=batch.ruleset_version
+                )
+                outcome["batches"].append(
+                    [batch.ruleset_version, batch.mode,
+                     verdicts(batch) == verdicts(expected), verdicts(batch)]
+                )
+    outcome["blobs"] = blobs
+    outcome["start_method"] = multiprocessing.get_start_method()
+    print(json.dumps(outcome))
+"""
+
+
+class TestNonForkWorkers:
+    def test_forkserver_pool_attaches_from_blobs_across_a_publish(self):
+        """Workers that do not fork decode one ``to_bytes()`` blob per pool
+        start, and scan like the in-process lane before and after a publish.
+        A subprocess keeps the start method out of this test session."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _FORKSERVER_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        outcome = json.loads(done.stdout.strip().splitlines()[-1])
+        assert outcome["start_method"] == "forkserver"
+        batches = outcome["batches"]
+        assert [(b[0], b[1], b[2]) for b in batches] == [
+            (1, "process", True),
+            (1, "process", True),
+            (2, "process", True),
+            (2, "process", True),
+        ]
+        assert batches[0][3] != batches[2][3]  # the publish changed detections
+        assert outcome["blobs"] == [1, 2]  # one blob per pool start
 
 
 class TestScanPreparedBatch:

@@ -38,6 +38,22 @@ def _ruleset(*rules: GeneratedRule) -> GeneratedRuleSet:
     return rule_set
 
 
+def _semgrep_regex_rule(rule_id: str, regex: str) -> GeneratedRule:
+    return GeneratedRule(
+        format="semgrep",
+        name=rule_id,
+        text=(
+            f"rules:\n  - id: {rule_id}\n    languages: [python]\n"
+            f"    message: m\n    severity: WARNING\n    pattern-regex: {regex}\n"
+        ),
+    )
+
+
+def _compiled_semgrep_regexes(version) -> set[str]:
+    """Ids of the Semgrep rules whose ``pattern-regex`` has been compiled."""
+    return {rule.id for rule in version.semgrep.rules if rule._regex is not None}
+
+
 def _store(tmp_path, name="store"):
     store, report = open_store(tmp_path / name, durable=False)
     return store, report
@@ -235,7 +251,11 @@ class TestRegistryRecovery:
     def test_recovery_never_recompiles(self, tmp_path, monkeypatch):
         """The acceptance criterion: snapshot blobs restore compiled versions
         byte-for-byte, so recovery must not touch either compiler, and no
-        string compiles its pattern until a scan probes it."""
+        YARA string or Semgrep ``pattern-regex`` compiles its pattern until a
+        scan probes it."""
+        from repro.api import RulesetVersion
+        from repro.semgrepx.matcher import ScanTarget
+
         probed = GeneratedRule(
             format="yara",
             name="r3",
@@ -245,11 +265,20 @@ class TestRegistryRecovery:
         store, _ = _store(tmp_path)
         with store:
             registry = RulesetRegistry(store=store)
-            registry.publish_generated(
-                _ruleset(_rule("r1", "needle_one"), _rule("r2", "needle_two"), probed),
+            published = registry.publish_generated(
+                _ruleset(
+                    _rule("r1", "needle_one"),
+                    _rule("r2", "needle_two"),
+                    probed,
+                    _semgrep_regex_rule("sg-secret", "secret_[a-z]+_key"),
+                    _semgrep_regex_rule("sg-domain", "evil[.]example"),
+                ),
                 label="compiled-once",
             )
             registry.snapshot()
+        # publishing validated (so compiled) both Semgrep regexes
+        assert _compiled_semgrep_regexes(published) == {"sg-secret", "sg-domain"}
+        blob = published.to_bytes()
 
         import repro.semgrepx.compiler
         import repro.yarax.compiler
@@ -260,12 +289,26 @@ class TestRegistryRecovery:
         monkeypatch.setattr(repro.yarax.compiler, "compile_source", forbidden)
         monkeypatch.setattr(repro.semgrepx.compiler, "compile_yaml", forbidden)
 
+        # decoding a version blob compiles no regex at all
+        compiles = []
+        real_compile = re._compile
+
+        def counting(*args, **kwargs):
+            compiles.append(args[0])
+            return real_compile(*args, **kwargs)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(re, "_compile", counting)
+            RulesetVersion.from_bytes(blob)
+        assert compiles == []
+
         store, _ = _store(tmp_path)
         with store:
             recovered = RulesetRegistry.from_store(store)
             version = recovered.current()
-            assert version.rule_count == 3
+            assert version.rule_count == 5
             assert _compiled_strings(version) == set()
+            assert _compiled_semgrep_regexes(version) == set()
             # one indexed scan: r1 and r3 are candidates; r1's plain string
             # is a substring check, r3's $b is blocked by its absent gate
             # literal, so only r3's regex compiles
@@ -275,6 +318,47 @@ class TestRegistryRecovery:
             # matchers came back, not just metadata
             matched = version.yara.match("x = 'needle_one'")
             assert [m.rule_name for m in matched] == ["r1"]
+            # the index gates sg-domain out, so only sg-secret compiles
+            target = ScanTarget.from_files("pkg", [("setup.py", "k = 'secret_abc_key'\n")])
+            found = version.index.match_semgrep(target)
+            assert [f.rule_id for f in found] == ["sg-secret"]
+            assert _compiled_semgrep_regexes(version) == {"sg-secret"}
+
+    def test_semgrep_rules_in_the_pre_lazy_layout_decode_and_match(self, monkeypatch):
+        """Blobs written when a Semgrep rule pickled its compiled pattern
+        under ``regex`` still decode, keep that pattern and match."""
+        from repro.api import RulesetVersion
+        from repro.semgrepx.compiler import CompiledSemgrepRule
+        from repro.semgrepx.matcher import ScanTarget
+
+        def old_layout(self):
+            return {
+                "rule": self.rule,
+                "either_patterns": self.either_patterns,
+                "all_patterns": self.all_patterns,
+                "not_patterns": self.not_patterns,
+                "regex": re.compile(self.rule.pattern_regex) if self.rule.pattern_regex else None,
+                "_anchors": self._anchors,
+            }
+
+        registry = RulesetRegistry()
+        published = registry.publish_generated(
+            _ruleset(_rule("r1", "needle_one"), _semgrep_regex_rule("sg-secret", "secret_[a-z]+_key")),
+            label="old",
+        )
+        with monkeypatch.context() as patched:
+            patched.setattr(CompiledSemgrepRule, "__getstate__", old_layout)
+            blob = published.to_bytes()
+        version = RulesetVersion.from_bytes(blob)
+        assert _compiled_semgrep_regexes(version) == {"sg-secret"}
+        for text in ("token = 'secret_abc_key'\n", "token = 'secret_key'\n"):
+            target = ScanTarget.from_files("pkg", [("setup.py", text)])
+            assert [f.rule_id for f in version.semgrep.match_target(target)] == [
+                f.rule_id for f in published.semgrep.match_target(target)
+            ]
+        # and it pickles back in the current layout, source only
+        again = RulesetVersion.from_bytes(version.to_bytes())
+        assert _compiled_semgrep_regexes(again) == set()
 
     def test_store_with_pre_lazy_string_layout_recovers(self, tmp_path, monkeypatch):
         """Version blobs written when each string pickled its compiled
