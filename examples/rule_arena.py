@@ -15,8 +15,9 @@ deterministically under a fixed seed:
    lifecycle policy retires them, stamping a reason into the registry's
    :class:`~repro.scanserve.registry.RetirementRecord`,
 3. **refeed** — the malicious packages the ruleset *missed* go back
-   through a generation session; the refined rules merge with the healthy
-   survivors into a successor version that out-scores what it replaced,
+   through a generation session, and the retired version's successor
+   holds its healthy survivors plus whatever rules that session refined
+   (the names the retired version lacks; the run prints how many),
 4. **durability** — every round is journaled to a store, and a runner
    restarted on it rebuilds the leaderboard (scores, trends, ranks,
    statuses) exactly,
@@ -49,6 +50,14 @@ from repro.store import open_store
 
 SEED = 1633
 DECAY_THRESHOLD = 0.4
+
+
+def rule_names(version) -> set[str]:
+    """Names of every YARA and Semgrep rule in a published version."""
+    names = set(version.yara.rule_names()) if version.yara is not None else set()
+    if version.semgrep is not None:
+        names.update(version.semgrep.rule_ids())
+    return names
 
 
 def main() -> None:
@@ -95,7 +104,11 @@ def main() -> None:
     retire_round = None
     decayed: list = []
     for _ in range(6):
+        # read the scored version's rules now: retiring drops it from the
+        # registry
+        scored = service.registry.current()
         record = runner.run_round()
+        assert record.version == scored.version
         print(record.describe())
         decayed = [
             rule for rule in record.retired_rules
@@ -118,18 +131,17 @@ def main() -> None:
     assert tombstones[0].describe() in service.registry.describe()
     print(f"tombstone: {tombstones[0].describe()}")
 
-    # 3: the refit version out-scores the retired rule on the next round
-    refit_sources = runner._sources[retire_round.refeed_version]
-    refit_names = {rule.name for rule in refit_sources.rules}
-    next_round = runner.run_round()
-    refit_scores = [s for s in next_round.scores if s.rule in refit_names]
-    best = max(refit_scores, key=lambda s: s.score)
-    assert best.score > victim.score, (best.score, victim.score)
-    best_entry = runner.leaderboard.entry(namespace, best.rule)
-    assert best_entry.rank < victim.rank
-    print(f"refit: {best.rule} scores {best.score:.3f} "
-          f"(rank {best_entry.rank}) vs retired {victim.score:.3f} "
-          f"(rank {victim.rank})")
+    # 3: the successor drops the retired rules; the rules it adds are the
+    # ones refined from the missed packages
+    assert retire_round.retired_version == scored.version
+    retired_names = rule_names(scored)
+    refeed_names = rule_names(service.registry.get(retire_round.refeed_version))
+    refined = refeed_names - retired_names
+    assert not refeed_names & set(retire_round.retired_rules)
+    assert service.registry.current_version() == retire_round.refeed_version
+    print(f"refeed: v{retire_round.refeed_version} holds {len(refeed_names)} "
+          f"rules: {len(refeed_names) - len(refined)} survivors of "
+          f"v{retire_round.retired_version}, {len(refined)} refined")
 
     # 4: a runner restarted on the reopened store rebuilds the exact standings
     store.close()

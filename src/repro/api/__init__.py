@@ -58,7 +58,6 @@ from repro.api.stages import (
     RefineStage,
     StageContext,
     default_stages,
-    group_stages,
 )
 from repro.core.config import RuleLLMConfig
 from repro.core.rules import GeneratedRule, GeneratedRuleSet
@@ -98,7 +97,6 @@ __all__ = [
     "RefineStage",
     "AlignStage",
     "default_stages",
-    "group_stages",
     "RuleLLMConfig",
     "GeneratedRule",
     "GeneratedRuleSet",

@@ -188,15 +188,7 @@ class ClusterShardPlan(ShardPlan):
     def partition(self, packages, config, embedder):
         if not packages:
             return []
-        n_clusters = max(1, round(len(packages) / config.packages_per_cluster_hint))
-        clusters = cluster_packages(
-            packages,
-            embedder=embedder,
-            n_clusters=n_clusters,
-            similarity_threshold=config.cluster_similarity_threshold,
-            random_seed=config.cluster_random_seed,
-            max_iterations=config.cluster_max_iterations,
-        )
+        clusters = cluster_packages(packages, embedder=embedder)
         groups = list(enumerate(clusters.clusters))
         shard_count = min(self.shards, len(groups)) or 1
         assigned: list[list[tuple[int, list[Package]]]] = [
@@ -551,7 +543,3 @@ class GenerationOrchestrator:
             return [run_one(shard) for shard in shards]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_one, shards))
-
-    @property
-    def last_result(self) -> Optional[FleetResult]:
-        return self.results[-1] if self.results else None

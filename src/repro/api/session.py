@@ -133,10 +133,6 @@ class GenerationSession:
         with self._feed_lock:
             return len(self._batch_sizes)
 
-    def add_package(self, package: Package) -> int:
-        """Feed a single package (a batch of one); returns the batch index."""
-        return self.add_batch([package])
-
     def add_batch(self, packages: Iterable[Package]) -> int:
         """Feed one batch of packages; returns the batch's index this round.
 
@@ -257,7 +253,3 @@ class GenerationSession:
         )
         self.results.append(result)
         return result
-
-    @property
-    def last_result(self) -> Optional[SessionResult]:
-        return self.results[-1] if self.results else None

@@ -85,18 +85,7 @@ class ClusterStage(PipelineStage):
     name = "cluster"
 
     def run(self, context: StageContext) -> None:
-        config = context.config
-        n_clusters = max(
-            1, round(len(context.packages) / config.packages_per_cluster_hint)
-        )
-        clusters = cluster_packages(
-            context.packages,
-            embedder=context.embedder,
-            n_clusters=n_clusters,
-            similarity_threshold=config.cluster_similarity_threshold,
-            random_seed=config.cluster_random_seed,
-            max_iterations=config.cluster_max_iterations,
-        )
+        clusters = cluster_packages(context.packages, embedder=context.embedder)
         context.clusters = clusters
         context.cluster_groups = list(enumerate(clusters.clusters))
         context.info.cluster_count = clusters.retained_count
@@ -202,8 +191,3 @@ class AlignStage(PipelineStage):
 def default_stages() -> list[PipelineStage]:
     """The paper's full pipeline as a stage chain."""
     return [ClusterStage(), CraftStage(), RefineStage(), AlignStage()]
-
-
-def group_stages(cluster_id: int = 0) -> list[PipelineStage]:
-    """The pipeline over one pre-formed group of similar packages."""
-    return [PresetClusterStage(cluster_id), CraftStage(), RefineStage(), AlignStage()]

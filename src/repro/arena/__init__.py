@@ -33,7 +33,6 @@ from repro.arena.scoring import (
     ScoringContext,
     fold_batches,
     get_policy,
-    score_batches,
     score_rules,
     scoring_policy,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "obfuscate_source",
     "refine_rules",
     "replay_rounds",
-    "score_batches",
     "score_rules",
     "scoring_policy",
 ]

@@ -249,10 +249,6 @@ class ArenaRunner:
         self._thread.join(timeout)
         self._thread = None
 
-    @property
-    def pending_rounds(self) -> int:
-        return self._pending.qsize()
-
     # -- one round ---------------------------------------------------------------------
     def run_round(self, version: Optional[int] = None) -> ArenaRound:
         """Replay, score, rank and (maybe) retire one version. Thread-safe."""

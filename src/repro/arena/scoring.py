@@ -193,18 +193,6 @@ def score_rules(
     return scores
 
 
-def score_batches(
-    batches: Sequence,
-    rule_names: Iterable[str],
-    policy: str = "weighted",
-    round_index: int = 0,
-) -> List[RuleScore]:
-    """``fold_batches`` + ``score_rules`` in one call."""
-    names = list(rule_names)
-    context = context_for_batches(batches, round_index=round_index)
-    return score_rules(fold_batches(batches, names), policy=policy, context=context)
-
-
 __all__ = [
     "COVERAGE_SATURATION",
     "SCORING_POLICIES",
@@ -214,7 +202,6 @@ __all__ = [
     "context_for_batches",
     "fold_batches",
     "get_policy",
-    "score_batches",
     "score_rules",
     "scoring_policy",
 ]

@@ -47,6 +47,9 @@ _REUPLOAD_SUFFIXES = ("rc", "post", "hotfix", "rev", "night", "dev")
 #: refined from one wrapped miss keep matching later wraps of that base.
 _WRAP_CHUNK = 76
 
+#: Index space the lazy benign stream draws from.
+BENIGN_POOL = 5000
+
 
 @dataclass
 class TrafficConfig:
@@ -58,15 +61,12 @@ class TrafficConfig:
     malicious_ratio: float = 0.5
     #: Rounds are streamed (and scored) in chunks of this many packages.
     chunk_size: int = 8
-    #: Index space the lazy benign stream draws from.
-    benign_pool: int = 5000
     #: Round-0 probability that a malicious variant is loader-wrapped.
     obfuscation_base: float = 0.0
     #: Added to the wrap probability every round (capped at 1.0).
     obfuscation_step: float = 0.0
     #: Probability a variant is re-uploaded under a mutated name.
     rename_probability: float = 0.75
-    benign_config: Optional[BenignGeneratorConfig] = None
 
     def __post_init__(self) -> None:
         if self.packages_per_round < 1:
@@ -75,8 +75,6 @@ class TrafficConfig:
             raise ValueError("chunk_size must be >= 1")
         if not 0.0 <= self.malicious_ratio <= 1.0:
             raise ValueError("malicious_ratio must be in [0, 1]")
-        if self.benign_pool < 1:
-            raise ValueError("benign_pool must be >= 1")
 
 
 def obfuscate_source(content: str) -> str:
@@ -145,16 +143,15 @@ class ReplayTraffic:
             raise ValueError(
                 "a non-zero malicious_ratio needs a seed malware corpus"
             )
-        benign_config = self.config.benign_config or BenignGeneratorConfig(
-            package_count=self.config.benign_pool,
+        self._benign = BenignGenerator(BenignGeneratorConfig(
+            package_count=BENIGN_POOL,
             seed=self.config.seed,
             # lazy draws land on arbitrary indices; popular names only cover
             # a fixed prefix and would make low indices special
             use_popular_names=False,
             modules_range=(2, 4),
             pieces_per_module_range=(6, 12),
-        )
-        self._benign = BenignGenerator(benign_config)
+        ))
 
     # -- round composition ----------------------------------------------------------
     def obfuscation_probability(self, round_index: int) -> float:
@@ -196,7 +193,7 @@ class ReplayTraffic:
         return mutate_package(base, rng, wrap=wrap, rename=rename)
 
     def _benign_package(self, rng: DeterministicRandom) -> Package:
-        index = rng.randint(0, self.config.benign_pool - 1)
+        index = rng.randint(0, BENIGN_POOL - 1)
         return self._benign.build_package(index)
 
 

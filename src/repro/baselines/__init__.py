@@ -18,7 +18,7 @@ from repro.baselines.community_rules import (
     build_semgrep_scanner,
     build_yara_scanner,
 )
-from repro.baselines.score_based import ScoreBasedConfig, ScoreBasedRuleGenerator
+from repro.baselines.score_based import ScoreBasedRuleGenerator
 from repro.baselines.isolation_forest import IsolationForest
 from repro.baselines.tfidf import TfIdfScorer
 from repro.baselines.entropy import shannon_entropy, normalized_entropy
@@ -27,7 +27,6 @@ __all__ = [
     "CommunityRuleSet",
     "build_yara_scanner",
     "build_semgrep_scanner",
-    "ScoreBasedConfig",
     "ScoreBasedRuleGenerator",
     "IsolationForest",
     "TfIdfScorer",

@@ -32,19 +32,15 @@ from repro.yarax.serializer import YaraRuleBuilder
 _STRING_LITERAL_RE = re.compile(r"[\"']([^\"'\n]{6,120})[\"']")
 _CALL_RE = re.compile(r"\b([a-zA-Z_][\w.]{3,40})\(")
 
-
-@dataclass
-class ScoreBasedConfig:
-    """Hyper-parameters fixed by the paper's description."""
-
-    isolation_weight: float = 1.2
-    tfidf_weight: float = 1.0
-    entropy_weight: float = 0.8
-    score_threshold: float = 0.9
-    max_strings_per_rule: int = 6
-    min_string_length: int = 6
-    clusters_hint: int = 4
-    random_seed: int = 42
+#: Hyper-parameters fixed by the paper's description.
+ISOLATION_WEIGHT = 1.2
+TFIDF_WEIGHT = 1.0
+ENTROPY_WEIGHT = 0.8
+SCORE_THRESHOLD = 0.9
+MAX_STRINGS_PER_RULE = 6
+MIN_STRING_LENGTH = 6
+#: One malware group per this many packages.
+CLUSTERS_HINT = 4
 
 
 @dataclass
@@ -74,9 +70,6 @@ class ScoreBasedResult:
 class ScoreBasedRuleGenerator:
     """Generate YARA rules by scoring strings against a benign contrast group."""
 
-    def __init__(self, config: ScoreBasedConfig | None = None) -> None:
-        self.config = config or ScoreBasedConfig()
-
     # -- feature extraction -----------------------------------------------------
     def extract_strings(self, package: Package) -> list[str]:
         """Pull candidate strings (literals and call names) from a package."""
@@ -84,11 +77,11 @@ class ScoreBasedRuleGenerator:
         text = package.source_text
         for match in _STRING_LITERAL_RE.finditer(text):
             value = match.group(1).strip()
-            if len(value) >= self.config.min_string_length:
+            if len(value) >= MIN_STRING_LENGTH:
                 candidates.append(value)
         for match in _CALL_RE.finditer(text):
             name = match.group(1)
-            if "." in name and len(name) >= self.config.min_string_length:
+            if "." in name and len(name) >= MIN_STRING_LENGTH:
                 candidates.append(name + "(")
         return candidates
 
@@ -108,7 +101,7 @@ class ScoreBasedRuleGenerator:
              for term in malware_terms],
             dtype=np.float64,
         )
-        forest = IsolationForest(random_seed=self.config.random_seed).fit(features)
+        forest = IsolationForest().fit(features)
         isolation_scores = forest.score(features)
 
         scored: list[ScoredString] = []
@@ -116,10 +109,10 @@ class ScoreBasedRuleGenerator:
             tfidf_score = tfidf.score_term_in_corpus(term, malware_docs)
             entropy_score = normalized_entropy(term)
             combined = (
-                self.config.isolation_weight * float(isolation_scores[index])
-                + self.config.tfidf_weight * min(tfidf_score, 1.0)
-                + self.config.entropy_weight * entropy_score
-            ) / (self.config.isolation_weight + self.config.tfidf_weight + self.config.entropy_weight)
+                ISOLATION_WEIGHT * float(isolation_scores[index])
+                + TFIDF_WEIGHT * min(tfidf_score, 1.0)
+                + ENTROPY_WEIGHT * entropy_score
+            ) / (ISOLATION_WEIGHT + TFIDF_WEIGHT + ENTROPY_WEIGHT)
             # NOTE: the scores measure statistical unusualness, not maliciousness --
             # strings that also occur in legitimate packages are *not* excluded,
             # which is exactly why the paper reports low precision for this baseline.
@@ -135,9 +128,7 @@ class ScoreBasedRuleGenerator:
         if not malware:
             return result
         malware_clusters = cluster_packages(
-            malware,
-            n_clusters=max(1, len(malware) // self.config.clusters_hint),
-            random_seed=self.config.random_seed,
+            malware, n_clusters=max(1, len(malware) // CLUSTERS_HINT)
         )
         benign_groups = [benign] if benign else [[]]
 
@@ -150,7 +141,7 @@ class ScoreBasedRuleGenerator:
             # nothing clears the bar get no rule -- one of the reasons the
             # baseline's recall trails RuleLLM's.
             selected = self._select_above_threshold(scored)
-            selected = selected[: self.config.max_strings_per_rule]
+            selected = selected[:MAX_STRINGS_PER_RULE]
             if not selected:
                 continue
             builder = YaraRuleBuilder(f"SCORE_based_group_{cluster_index}")
@@ -170,9 +161,8 @@ class ScoreBasedRuleGenerator:
         low, high = min(values), max(values)
         if high - low <= 1e-9:
             return []
-        threshold = self.config.score_threshold
         return [item for item in scored
-                if (item.combined - low) / (high - low) >= threshold]
+                if (item.combined - low) / (high - low) >= SCORE_THRESHOLD]
 
     @staticmethod
     def _sanitize(value: str) -> str:

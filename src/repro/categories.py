@@ -195,15 +195,6 @@ class TaxonomyLabel:
         return CATEGORIES.index(self.category)
 
 
-def all_subcategories() -> list[TaxonomyLabel]:
-    """Return all 38 (category, subcategory) labels in paper order."""
-    labels: list[TaxonomyLabel] = []
-    for category in CATEGORIES:
-        for subcategory in SUBCATEGORIES[category]:
-            labels.append(TaxonomyLabel(category, subcategory))
-    return labels
-
-
 def category_of(subcategory: str) -> str:
     """Return the category owning ``subcategory`` (raises if unknown)."""
     for category, subs in SUBCATEGORIES.items():

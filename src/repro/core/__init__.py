@@ -19,7 +19,7 @@ corpus and returns a :class:`repro.core.rules.GeneratedRuleSet`.
 from repro.core.config import RuleLLMConfig
 from repro.core.basic_units import BasicUnit, split_basic_units
 from repro.core.rules import GeneratedRule, GeneratedRuleSet
-from repro.core.taxonomy import RuleTaxonomyClassifier, classify_rule
+from repro.core.taxonomy import RuleTaxonomyClassifier
 from repro.core.pipeline import RuleLLM
 
 __all__ = [
@@ -29,6 +29,5 @@ __all__ = [
     "GeneratedRule",
     "GeneratedRuleSet",
     "RuleTaxonomyClassifier",
-    "classify_rule",
     "RuleLLM",
 ]

@@ -39,9 +39,7 @@ class AligningStage:
     def __init__(self, provider: LLMProvider, config: RuleLLMConfig) -> None:
         self.provider = provider
         self.config = config
-        self.agent = AlignmentAgent(
-            provider, max_attempts=config.max_fix_attempts, memory_size=config.error_memory_size
-        )
+        self.agent = AlignmentAgent(provider)
         self.report = AlignmentReport()
 
     def align(self, refined: RefinedRule, rule_index: int) -> tuple[GeneratedRule, bool]:
@@ -52,7 +50,7 @@ class AligningStage:
             text=refined.text,
             cluster_id=refined.cluster_id,
             source_packages=list(refined.source_packages),
-            analysis_text=refined.analysis_text if self.config.keep_analysis_texts else "",
+            analysis_text=refined.analysis_text,
             origin=refined.origin,
         )
         if not self.config.use_alignment:

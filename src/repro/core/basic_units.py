@@ -39,13 +39,6 @@ class BasicUnit:
     def size(self) -> int:
         return len(self.text)
 
-    @property
-    def first_line(self) -> str:
-        for line in self.text.splitlines():
-            if line.strip():
-                return line.strip()
-        return ""
-
 
 def split_basic_units(source: str, max_chars: int = MAX_UNIT_CHARS) -> list[str]:
     """Split one source file into basic-unit texts."""
@@ -94,18 +87,3 @@ def extract_basic_units(package: Package, max_chars: int = MAX_UNIT_CHARS) -> li
             units.append(BasicUnit(package=package.identifier, path=source.path,
                                    index=index, text=text))
     return units
-
-
-def interesting_units(units: list[BasicUnit]) -> list[BasicUnit]:
-    """Order units by how likely they are to carry behaviour worth a rule.
-
-    Import blocks and trivial one-liners sink to the end; larger function and
-    class bodies float to the front.  The crafting stage samples from the
-    front of this ordering.
-    """
-    def score(unit: BasicUnit) -> tuple[int, int]:
-        first = unit.first_line
-        is_definition = int(first.startswith(("def ", "class ", "async def ")))
-        return (is_definition, unit.size)
-
-    return sorted(units, key=score, reverse=True)

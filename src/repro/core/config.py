@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -22,38 +22,6 @@ class RuleLLMConfig:
     use_basic_units: bool = True
     use_refinement: bool = True
     use_alignment: bool = True
-
-    # crafting
-    basic_unit_max_chars: int = 4000
-    units_per_prompt: int = 2
-    unit_groups_per_cluster: int = 3
-    generate_yara: bool = True
-    generate_semgrep: bool = True
-    metadata_rules: bool = True
-
-    # clustering (Section III-B)
-    cluster_similarity_threshold: float = 0.85
-    cluster_random_seed: int = 42
-    cluster_max_iterations: int = 500
-    packages_per_cluster_hint: int = 4
-
-    # alignment (Section IV-C)
-    max_fix_attempts: int = 5
-    error_memory_size: int = 2
-
-    # bookkeeping
-    keep_analysis_texts: bool = True
-    extra: dict[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.basic_unit_max_chars < 200:
-            raise ValueError("basic_unit_max_chars must be >= 200")
-        if self.units_per_prompt < 1:
-            raise ValueError("units_per_prompt must be >= 1")
-        if self.max_fix_attempts < 0:
-            raise ValueError("max_fix_attempts must be >= 0")
-        if not 0.0 < self.cluster_similarity_threshold <= 1.0:
-            raise ValueError("cluster_similarity_threshold must be in (0, 1]")
 
     # -- ablation presets -------------------------------------------------------
     @classmethod

@@ -31,6 +31,13 @@ from repro.utils.seeding import DeterministicRandom
 #: cheap pre-rank here avoids spending prompts on boilerplate units).
 _UNIT_AUDITOR = CodeAnalyzer()
 
+#: Rule formats crafted for every cluster, in prompt order.
+RULE_FORMATS = (protocol.FORMAT_YARA, protocol.FORMAT_SEMGREP)
+#: Similar basic units audited together in one prompt (one per sample package).
+UNITS_PER_PROMPT = 2
+#: Unit groups, hence prompts per format, drawn from one cluster.
+UNIT_GROUPS_PER_CLUSTER = 3
+
 
 @dataclass
 class CoarseRule:
@@ -57,9 +64,8 @@ class CraftingStage:
         rng = DeterministicRandom(self.config.seed, "crafting", str(cluster_id))
         coarse: list[CoarseRule] = []
         unit_groups = self._unit_groups(packages, rng)
-        formats = self._formats()
 
-        for rule_format in formats:
+        for rule_format in RULE_FORMATS:
             for group in unit_groups:
                 request = prompts.render_craft_prompt(
                     rule_format=rule_format,
@@ -76,7 +82,7 @@ class CraftingStage:
                         origin="code",
                     )
                 )
-            if self.config.metadata_rules and rule_format == protocol.FORMAT_YARA:
+            if rule_format == protocol.FORMAT_YARA:
                 metadata_rule = self._craft_metadata_rule(cluster_id, packages, rule_format, rng)
                 if metadata_rule is not None:
                     coarse.append(metadata_rule)
@@ -86,7 +92,7 @@ class CraftingStage:
         """Single-shot crafting over the whole package (the LLM-alone arm)."""
         coarse: list[CoarseRule] = []
         metadata_json = extract_metadata(package).to_json()
-        for rule_format in self._formats():
+        for rule_format in RULE_FORMATS:
             request = prompts.render_direct_prompt(
                 rule_format=rule_format,
                 package_source=package.source_text,
@@ -106,16 +112,6 @@ class CraftingStage:
         return coarse
 
     # -- helpers ---------------------------------------------------------------------
-    def _formats(self) -> list[str]:
-        formats: list[str] = []
-        if self.config.generate_yara:
-            formats.append(protocol.FORMAT_YARA)
-        if self.config.generate_semgrep:
-            formats.append(protocol.FORMAT_SEMGREP)
-        if not formats:
-            raise ValueError("at least one of generate_yara / generate_semgrep must be enabled")
-        return formats
-
     def _unit_groups(self, packages: list[Package],
                      rng: DeterministicRandom) -> list[list[BasicUnit]]:
         """Select groups of similar basic units across the cluster's packages.
@@ -124,18 +120,17 @@ class CraftingStage:
         (boilerplate helpers sink to the bottom).  Units occupying the same
         rank position in different variant packages are near-identical by
         construction of the cluster, so a group is formed by taking that
-        position from up to ``units_per_prompt`` sample packages.
+        position from up to ``UNITS_PER_PROMPT`` sample packages.
         """
-        sample_packages = packages[: max(2, self.config.units_per_prompt)]
         per_package_units = [
-            self._ranked_units(extract_basic_units(pkg, self.config.basic_unit_max_chars))
-            for pkg in sample_packages
+            self._ranked_units(extract_basic_units(pkg))
+            for pkg in packages[:UNITS_PER_PROMPT]
         ]
         per_package_units = [units for units in per_package_units if units]
         if not per_package_units:
             return []
 
-        group_count = min(self.config.unit_groups_per_cluster,
+        group_count = min(UNIT_GROUPS_PER_CLUSTER,
                           max(len(units) for units in per_package_units))
         groups: list[list[BasicUnit]] = []
         kept_clean_group = False
@@ -144,7 +139,7 @@ class CraftingStage:
             for units, _score in per_package_units:
                 if position < len(units):
                     group.append(units[position])
-                if len(group) >= self.config.units_per_prompt:
+                if len(group) >= UNITS_PER_PROMPT:
                     break
             if not group:
                 continue

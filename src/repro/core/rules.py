@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 from repro.semgrepx import CompiledSemgrepRuleSet
 from repro.semgrepx import compiler as semgrep_compiler
@@ -90,10 +89,6 @@ class GeneratedRuleSet:
         rule.compiled_ok = False
         self.rejected.append(rule)
 
-    def extend(self, other: "GeneratedRuleSet") -> None:
-        self.rules.extend(other.rules)
-        self.rejected.extend(other.rejected)
-
     # -- compilation into the engines ------------------------------------------------
     def compile_yara(self) -> CompiledRuleSet:
         """Compile every YARA rule into one scanning rule set.
@@ -150,19 +145,3 @@ class GeneratedRuleSet:
             result.add(GeneratedRule(format=SEMGREP_FORMAT, name=path.stem,
                                      text=path.read_text(encoding="utf-8")))
         return result
-
-
-def combine(rule_sets: Iterable[GeneratedRuleSet]) -> GeneratedRuleSet:
-    """Plain concatenation of rule sets (no collision handling).
-
-    Sharded generation should NOT use this: fleet merging needs rule-name
-    collision resolution, cross-shard dedup and deterministic ordering —
-    that policy lives in :func:`repro.scanserve.registry.merge_shard_rulesets`
-    (what the orchestrator runs before ``RulesetRegistry.publish_merged_set``).
-    """
-    combined = GeneratedRuleSet()
-    for rule_set in rule_sets:
-        combined.extend(rule_set)
-        if not combined.model:
-            combined.model = rule_set.model
-    return combined

@@ -63,10 +63,6 @@ class RuleClassification:
     def categories(self) -> list[str]:
         return sorted({label.category for label in self.labels})
 
-    @property
-    def subcategories(self) -> list[str]:
-        return sorted({label.subcategory for label in self.labels})
-
 
 class RuleTaxonomyClassifier:
     """Assign Table XII categories/subcategories to generated rules."""
@@ -123,8 +119,3 @@ class RuleTaxonomyClassifier:
                     if i != j:
                         matrix[i][j] += 1
         return matrix
-
-
-def classify_rule(rule: GeneratedRule) -> RuleClassification:
-    """Convenience wrapper classifying a single rule."""
-    return RuleTaxonomyClassifier().classify(rule)

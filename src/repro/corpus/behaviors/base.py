@@ -216,11 +216,5 @@ class BehaviorRegistry:
     def all(self) -> list[Behavior]:
         return list(self._behaviors.values())
 
-    def by_category(self, category: str) -> list[Behavior]:
-        return [b for b in self._behaviors.values() if b.category == category]
-
-    def by_subcategory(self, subcategory: str) -> list[Behavior]:
-        return [b for b in self._behaviors.values() if b.subcategory == subcategory]
-
     def keys(self) -> list[str]:
         return list(self._behaviors.keys())

@@ -46,6 +46,15 @@ _CLASSIFIERS = (
 )
 
 
+#: Chance that one code piece of a risky package is risky-but-benign code.
+RISKY_PIECE_PROBABILITY = 0.10
+#: Fraction of packages that contain *any* risky-but-benign code at all.
+#: Real popular libraries split roughly in half between pure-Python data
+#: wrangling and packages that legitimately shell out / talk HTTP / read
+#: the environment -- and only the latter can ever trip a broad rule.
+RISKY_PACKAGE_PROBABILITY = 0.52
+
+
 @dataclass
 class BenignGeneratorConfig:
     """Knobs controlling the synthetic legitimate corpus."""
@@ -54,21 +63,11 @@ class BenignGeneratorConfig:
     seed: int = 500
     modules_range: tuple[int, int] = (6, 12)
     pieces_per_module_range: tuple[int, int] = (12, 26)
-    risky_piece_probability: float = 0.10
-    #: Fraction of packages that contain *any* risky-but-benign code at all.
-    #: Real popular libraries split roughly in half between pure-Python data
-    #: wrangling and packages that legitimately shell out / talk HTTP / read
-    #: the environment -- and only the latter can ever trip a broad rule.
-    risky_package_probability: float = 0.52
     use_popular_names: bool = True
 
     def __post_init__(self) -> None:
         if self.package_count < 0:
             raise ValueError("package_count must be >= 0")
-        if not 0.0 <= self.risky_piece_probability <= 1.0:
-            raise ValueError("risky_piece_probability must be in [0, 1]")
-        if not 0.0 <= self.risky_package_probability <= 1.0:
-            raise ValueError("risky_package_probability must be in [0, 1]")
 
 
 class BenignGenerator:
@@ -111,11 +110,7 @@ class BenignGenerator:
 
         module_count = rng.randint(*self.config.modules_range)
         chosen_modules = rng.sample(list(_MODULE_NAMES), module_count)
-        risky_probability = (
-            self.config.risky_piece_probability
-            if rng.coin(self.config.risky_package_probability)
-            else 0.0
-        )
+        risky_probability = RISKY_PIECE_PROBABILITY if rng.coin(RISKY_PACKAGE_PROBABILITY) else 0.0
         files = [
             PackageFile("setup.py", metadata.to_setup_py()),
             PackageFile("PKG-INFO", metadata.to_pkg_info()),

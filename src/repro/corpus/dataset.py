@@ -19,19 +19,19 @@ from repro.corpus.malware_generator import MalwareGenerator, MalwareGeneratorCon
 from repro.corpus.package import BENIGN, MALWARE, Package
 
 
+#: Paper-scale corpus size (Table VI), before ``scale`` shrinks it.
+MALWARE_COUNT = 3200
+BENIGN_COUNT = 500
+
+
 @dataclass
 class DatasetConfig:
     """Configuration for one evaluation corpus."""
 
-    malware_count: int = 3200
-    benign_count: int = 500
     seed: int = 1633
     scale: float = 1.0
-    duplicate_fraction: float = 0.49
-    obfuscation_probability: float = 0.22
     benign_modules_range: tuple[int, int] = (6, 12)
     benign_pieces_per_module_range: tuple[int, int] = (12, 26)
-    risky_piece_probability: float = 0.10
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
@@ -39,11 +39,11 @@ class DatasetConfig:
 
     @property
     def scaled_malware_count(self) -> int:
-        return max(4, round(self.malware_count * self.scale))
+        return max(4, round(MALWARE_COUNT * self.scale))
 
     @property
     def scaled_benign_count(self) -> int:
-        return max(2, round(self.benign_count * self.scale))
+        return max(2, round(BENIGN_COUNT * self.scale))
 
     @classmethod
     def small(cls, seed: int = 1633) -> "DatasetConfig":
@@ -126,15 +126,12 @@ def build_dataset(config: DatasetConfig | None = None) -> Dataset:
     malware_config = MalwareGeneratorConfig(
         package_count=config.scaled_malware_count,
         seed=config.seed,
-        duplicate_fraction=config.duplicate_fraction,
-        obfuscation_probability=config.obfuscation_probability,
     )
     benign_config = BenignGeneratorConfig(
         package_count=config.scaled_benign_count,
         seed=config.seed + 1,
         modules_range=config.benign_modules_range,
         pieces_per_module_range=config.benign_pieces_per_module_range,
-        risky_piece_probability=config.risky_piece_probability,
     )
 
     malware_raw = MalwareGenerator(malware_config).generate()

@@ -11,7 +11,7 @@ defeat a naive whole-package hash, exactly as in the real feed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.corpus.package import Package
 from repro.utils.hashing import content_signature
@@ -39,13 +39,6 @@ class DedupResult:
     def total(self) -> int:
         return len(self.unique) + len(self.duplicates)
 
-    @property
-    def dedup_ratio(self) -> float:
-        """Fraction of packages removed as duplicates."""
-        if self.total == 0:
-            return 0.0
-        return len(self.duplicates) / self.total
-
 
 def deduplicate(packages: Iterable[Package]) -> DedupResult:
     """Collapse packages that share the same source payload.
@@ -63,9 +56,3 @@ def deduplicate(packages: Iterable[Package]) -> DedupResult:
             result.unique.append(package)
         group.append(package)
     return result
-
-
-def duplicate_clusters(packages: Sequence[Package]) -> list[list[Package]]:
-    """Return only the signature groups that contain more than one package."""
-    result = deduplicate(packages)
-    return [group for group in result.groups.values() if len(group) > 1]

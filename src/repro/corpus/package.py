@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 from repro.utils.hashing import content_signature
 from repro.utils.text import count_loc
@@ -197,18 +197,6 @@ class Package:
                 return f
         return None
 
-    def iter_paths(self) -> Iterator[str]:
-        for f in self.files:
-            yield f.path
-
-    def add_file(self, path: str, content: str) -> PackageFile:
-        existing = self.file(path)
-        if existing is not None:
-            raise ValueError(f"duplicate file path in package {self.name}: {path}")
-        new_file = PackageFile(path=path, content=content)
-        self.files.append(new_file)
-        return new_file
-
     # -- aggregate views -----------------------------------------------------
     @property
     def all_text(self) -> str:
@@ -223,12 +211,3 @@ class Package:
     def loc(self) -> int:
         """Non-blank, non-comment source lines across all source files."""
         return sum(f.loc for f in self.source_files)
-
-
-def partition_by_label(packages: Iterable[Package]) -> tuple[list[Package], list[Package]]:
-    """Split packages into (malicious, benign) lists preserving order."""
-    malicious: list[Package] = []
-    benign: list[Package] = []
-    for pkg in packages:
-        (malicious if pkg.is_malicious else benign).append(pkg)
-    return malicious, benign

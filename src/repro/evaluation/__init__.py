@@ -7,7 +7,7 @@ how to render itself next to the paper's reported values, and is what the
 benchmark suite and the examples call.
 """
 
-from repro.evaluation.metrics import ConfusionMatrix, classification_metrics
+from repro.evaluation.metrics import ConfusionMatrix
 from repro.evaluation.detector import DetectionResult, PackageDetection, RuleScanner
 from repro.evaluation.per_rule import PerRuleStats, per_rule_statistics, precision_histogram
 from repro.evaluation.coverage import coverage_cdf
@@ -18,7 +18,6 @@ from repro.evaluation.reporting import format_table, render_histogram, render_se
 
 __all__ = [
     "ConfusionMatrix",
-    "classification_metrics",
     "RuleScanner",
     "DetectionResult",
     "PackageDetection",

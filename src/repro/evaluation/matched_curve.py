@@ -31,13 +31,6 @@ class MatchedCurve:
 
     points: list[MatchedCurvePoint] = field(default_factory=list)
 
-    @property
-    def best_threshold(self) -> int:
-        if not self.points:
-            return 0
-        best = max(self.points, key=lambda point: point.f1)
-        return best.matched_rules
-
     def series(self, metric: str) -> list[tuple[int, float]]:
         return [(point.matched_rules, getattr(point, metric)) for point in self.points]
 

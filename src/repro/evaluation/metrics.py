@@ -67,13 +67,3 @@ class ConfusionMatrix:
                 f"rec={self.recall:.1%} f1={self.f1:.1%} "
                 f"(tp={self.true_positive} fp={self.false_positive} "
                 f"tn={self.true_negative} fn={self.false_negative})")
-
-
-def classification_metrics(labels: list[bool], predictions: list[bool]) -> ConfusionMatrix:
-    """Build a confusion matrix from parallel label/prediction lists."""
-    if len(labels) != len(predictions):
-        raise ValueError("labels and predictions must have the same length")
-    matrix = ConfusionMatrix()
-    for actual, predicted in zip(labels, predictions):
-        matrix.record(actual, predicted)
-    return matrix

@@ -77,12 +77,7 @@ def variant_detection_experiment(
     result = VariantDetectionResult()
     if not malware:
         return result
-    clusters = cluster_packages(
-        malware,
-        n_clusters=max(1, round(len(malware) / config.packages_per_cluster_hint)),
-        similarity_threshold=config.cluster_similarity_threshold,
-        random_seed=config.cluster_random_seed,
-    )
+    clusters = cluster_packages(malware)
     pipeline = RuleLLM(config)
     evaluated = 0
     for cluster_id, members in enumerate(clusters.clusters):

@@ -11,35 +11,25 @@ Turns a package into the two inputs RuleLLM consumes:
 """
 
 from repro.extraction.metadata import extract_metadata, metadata_audit
-from repro.extraction.unpacking import (
-    load_package_from_directory,
-    unpack_archive,
-    write_package_to_directory,
-)
-from repro.extraction.snippets import CodeSnippet, extract_snippets, split_segments
-from repro.extraction.embedding import CodeEmbedder, EmbeddingConfig
+from repro.extraction.unpacking import load_package_from_directory, write_package_to_directory
+from repro.extraction.snippets import split_segments
+from repro.extraction.embedding import CodeEmbedder
 from repro.extraction.clustering import (
     ClusterResult,
     KMeans,
     cluster_packages,
-    cosine_similarity,
     intra_cluster_similarity,
 )
 
 __all__ = [
     "extract_metadata",
     "metadata_audit",
-    "unpack_archive",
     "write_package_to_directory",
     "load_package_from_directory",
-    "CodeSnippet",
-    "extract_snippets",
     "split_segments",
     "CodeEmbedder",
-    "EmbeddingConfig",
     "KMeans",
     "ClusterResult",
     "cluster_packages",
-    "cosine_similarity",
     "intra_cluster_similarity",
 ]

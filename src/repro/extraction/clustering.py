@@ -23,15 +23,6 @@ DEFAULT_MAX_ITERATIONS = 500
 DEFAULT_SIMILARITY_THRESHOLD = 0.85
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity between two vectors (0.0 when either is zero)."""
-    norm_a = np.linalg.norm(a)
-    norm_b = np.linalg.norm(b)
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (norm_a * norm_b))
-
-
 def intra_cluster_similarity(vectors: np.ndarray) -> float:
     """Average pairwise cosine similarity of the rows of ``vectors``.
 
@@ -100,11 +91,6 @@ class KMeans:
         self.centroids = centroids
         self.labels = labels
         return self
-
-    def predict(self, data: np.ndarray) -> np.ndarray:
-        if self.centroids is None:
-            raise RuntimeError("KMeans.predict called before fit")
-        return self._pairwise_sq_distances(data, self.centroids).argmin(axis=1)
 
     def fit_predict(self, data: np.ndarray) -> np.ndarray:
         return self.fit(data).labels  # type: ignore[return-value]

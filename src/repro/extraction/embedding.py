@@ -17,31 +17,17 @@ from __future__ import annotations
 import io
 import re
 import tokenize
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.corpus.package import Package
-from repro.extraction.snippets import SEGMENT_LENGTH, split_segments
+from repro.extraction.snippets import split_segments
 from repro.utils.hashing import stable_hash
 
 _FALLBACK_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[^\sA-Za-z0-9_]")
 
-
-@dataclass(frozen=True)
-class EmbeddingConfig:
-    """Configuration of the hashing embedder."""
-
-    dimensions: int = 256
-    segment_length: int = SEGMENT_LENGTH
-    use_bigrams: bool = True
-    lowercase: bool = True
-
-    def __post_init__(self) -> None:
-        if self.dimensions < 8:
-            raise ValueError("dimensions must be >= 8")
-        if self.segment_length <= 0:
-            raise ValueError("segment_length must be positive")
+#: Number of hash buckets, i.e. the length of every embedding vector.
+DIMENSIONS = 256
 
 
 def tokenize_code(text: str) -> list[str]:
@@ -70,36 +56,24 @@ def tokenize_code(text: str) -> list[str]:
 class CodeEmbedder:
     """Deterministic hashing embedder for source code.
 
-    The embedder holds only its config.  Each call embeds through a fresh
+    The embedder holds no state.  Each call embeds through a fresh
     :class:`_EmbeddingPass`, whose memo is dropped when the call returns.
     """
 
-    def __init__(self, config: EmbeddingConfig | None = None) -> None:
-        self.config = config or EmbeddingConfig()
-
-    def embed(self, text: str) -> np.ndarray:
-        """Embed one code segment into a unit-norm vector."""
-        return _EmbeddingPass(self.config).segment(text)
-
-    def embed_document(self, text: str) -> np.ndarray:
-        """Embed a whole document as the mean of its segment vectors.
-
-        The paper concatenates segment vectors; clustering, however, needs a
-        fixed dimensionality, so we aggregate by averaging.  Averaging keeps
-        near-duplicate documents near-identical, which is the property
-        K-Means grouping depends on.
-        """
-        return _EmbeddingPass(self.config).document(text)
-
     def embed_packages(self, packages: list[Package]) -> np.ndarray:
         """Embed the concatenated source of each package (matrix of rows).
+
+        A package's vector is the mean of its segment vectors.  The paper
+        concatenates segment vectors; clustering, however, needs a fixed
+        dimensionality, and averaging keeps near-duplicate documents
+        near-identical, which is the property K-Means grouping depends on.
 
         One pass serves the whole call, so a segment or token that many
         packages share is tokenised or hashed once.
         """
         if not packages:
-            return np.zeros((0, self.config.dimensions))
-        embedding = _EmbeddingPass(self.config)
+            return np.zeros((0, DIMENSIONS))
+        embedding = _EmbeddingPass()
         return np.vstack(
             [embedding.document(package.source_text or package.all_text) for package in packages]
         )
@@ -116,13 +90,12 @@ class _EmbeddingPass:
     occurrence in turn.
     """
 
-    def __init__(self, config: EmbeddingConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self.buckets: dict[str, int] = {}
         self.segments: dict[str, np.ndarray] = {}
 
     def document(self, text: str) -> np.ndarray:
-        segments = split_segments(text, self.config.segment_length) or [""]
+        segments = split_segments(text) or [""]
         vector = np.vstack([self.segment(segment) for segment in segments]).mean(axis=0)
         norm = np.linalg.norm(vector)
         if norm > 0:
@@ -136,26 +109,21 @@ class _EmbeddingPass:
         return vector
 
     def _embed_segment(self, text: str) -> np.ndarray:
-        dims = self.config.dimensions
-        tokens = tokenize_code(text)
-        if self.config.lowercase:
-            tokens = [token.lower() for token in tokens]
+        tokens = [token.lower() for token in tokenize_code(text)]
         if not tokens:
-            return np.zeros(dims, dtype=np.float64)
-        vector = np.bincount(self._buckets(tokens), minlength=dims).astype(np.float64)
-        if self.config.use_bigrams:
-            bigrams = [first + "\x00" + second for first, second in zip(tokens, tokens[1:])]
-            vector += 0.5 * np.bincount(self._buckets(bigrams), minlength=dims)
+            return np.zeros(DIMENSIONS, dtype=np.float64)
+        vector = np.bincount(self._buckets(tokens), minlength=DIMENSIONS).astype(np.float64)
+        bigrams = [first + "\x00" + second for first, second in zip(tokens, tokens[1:])]
+        vector += 0.5 * np.bincount(self._buckets(bigrams), minlength=DIMENSIONS)
         vector /= np.linalg.norm(vector)
         return vector
 
     def _buckets(self, keys: list[str]) -> list[int]:
         memo = self.buckets
-        dims = self.config.dimensions
         buckets = []
         for key in keys:
             bucket = memo.get(key)
             if bucket is None:
-                bucket = memo[key] = stable_hash(key, bits=32) % dims
+                bucket = memo[key] = stable_hash(key, bits=32) % DIMENSIONS
             buckets.append(bucket)
         return buckets

@@ -11,7 +11,6 @@ information, release zero, typosquatting and suspicious dependencies.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
@@ -90,26 +89,6 @@ def parse_setup_py(text: str) -> PackageMetadata:
     if requires:
         metadata.dependencies = _STRING_RE.findall(requires.group("body"))
     return metadata
-
-
-def parse_registry_json(text: str) -> PackageMetadata:
-    """Parse the registry JSON document (the ``egg-info`` / API route)."""
-    data = json.loads(text)
-    if "info" in data and isinstance(data["info"], dict):
-        data = data["info"]
-    return PackageMetadata(
-        name=data.get("name", ""),
-        version=data.get("version", "0.0.0"),
-        summary=data.get("summary", ""),
-        description=data.get("description", ""),
-        author=data.get("author", ""),
-        author_email=data.get("author_email", ""),
-        home_page=data.get("home_page", data.get("homepage", "")),
-        license=data.get("license", ""),
-        keywords=list(data.get("keywords", []) or []),
-        classifiers=list(data.get("classifiers", []) or []),
-        dependencies=list(data.get("requires_dist", data.get("dependencies", [])) or []),
-    )
 
 
 def _merge(primary: PackageMetadata, fallback: PackageMetadata) -> PackageMetadata:

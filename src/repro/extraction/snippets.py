@@ -1,32 +1,13 @@
-"""Code snippet extraction and segmentation (paper Section III-B).
+"""Code segmentation (paper Section III-B).
 
 The paper splits each source file into fixed-length segments (threshold 512
-characters) before embedding.  ``extract_snippets`` yields per-file snippets;
-``split_segments`` performs the fixed-length split used by the embedder.
+characters) before embedding; ``split_segments`` performs that split.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.corpus.package import Package
-
 #: Fixed segment length used by the paper when splitting source code.
 SEGMENT_LENGTH = 512
-
-
-@dataclass(frozen=True)
-class CodeSnippet:
-    """A chunk of source code attributed to its origin."""
-
-    package: str
-    path: str
-    index: int
-    text: str
-
-    @property
-    def length(self) -> int:
-        return len(self.text)
 
 
 def split_segments(text: str, segment_length: int = SEGMENT_LENGTH) -> list[str]:
@@ -50,19 +31,3 @@ def split_segments(text: str, segment_length: int = SEGMENT_LENGTH) -> list[str]
         segments.append(text[position:end])
         position = end
     return segments
-
-
-def extract_snippets(package: Package, segment_length: int = SEGMENT_LENGTH) -> list[CodeSnippet]:
-    """Extract fixed-length code snippets from every source file of a package."""
-    snippets: list[CodeSnippet] = []
-    for source in package.source_files:
-        if source.path in ("setup.py",) and len(package.source_files) > 1:
-            # setup.py is analysed via its own basic units; keep it anyway if
-            # it is the only source file in the package.
-            pass
-        for index, segment in enumerate(split_segments(source.content, segment_length)):
-            if segment.strip():
-                snippets.append(
-                    CodeSnippet(package=package.identifier, path=source.path, index=index, text=segment)
-                )
-    return snippets

@@ -1,17 +1,14 @@
 """Package unpacking (paper Section III-B, "Unpacking").
 
 Real packages arrive as sdists / wheels; the paper unpacks them to a folder
-before analysis.  This module handles tar/zip archives and plain directories,
-and can also write an in-memory :class:`~repro.corpus.package.Package` to
-disk (used by the examples to produce realistic on-disk corpora).
+before analysis.  This module loads a package from such a folder, and can
+also write an in-memory :class:`~repro.corpus.package.Package` to disk (used
+by the examples to produce realistic on-disk corpora).
 """
 
 from __future__ import annotations
 
-import io
 import os
-import tarfile
-import zipfile
 from pathlib import Path
 
 from repro.corpus.package import Package, PackageFile, PackageMetadata
@@ -26,40 +23,6 @@ def _is_interesting(path: str) -> bool:
         return True
     _, ext = os.path.splitext(name)
     return ext in _SOURCE_EXTENSIONS
-
-
-def _decode(raw: bytes) -> str:
-    return raw.decode("utf-8", errors="replace")
-
-
-def unpack_archive(data: bytes, archive_name: str = "package") -> list[tuple[str, str]]:
-    """Extract ``(path, content)`` pairs from a tar or zip archive in memory."""
-    files: list[tuple[str, str]] = []
-    buffer = io.BytesIO(data)
-    if zipfile.is_zipfile(buffer):
-        buffer.seek(0)
-        with zipfile.ZipFile(buffer) as archive:
-            for info in archive.infolist():
-                if info.is_dir() or info.file_size > _MAX_FILE_BYTES:
-                    continue
-                if _is_interesting(info.filename):
-                    files.append((info.filename, _decode(archive.read(info))))
-        return files
-    buffer.seek(0)
-    try:
-        with tarfile.open(fileobj=buffer, mode="r:*") as archive:
-            for member in archive.getmembers():
-                if not member.isfile() or member.size > _MAX_FILE_BYTES:
-                    continue
-                if not _is_interesting(member.name):
-                    continue
-                extracted = archive.extractfile(member)
-                if extracted is None:
-                    continue
-                files.append((member.name, _decode(extracted.read())))
-    except tarfile.TarError as exc:
-        raise ValueError(f"cannot unpack archive {archive_name!r}: {exc}") from exc
-    return files
 
 
 def write_package_to_directory(package: Package, directory: str | Path) -> Path:

@@ -61,19 +61,22 @@ from repro.scanserve.scheduler import BoundedQueue
 from repro.scanserve.service import RescanDelta, ScanService, ScanServiceConfig
 
 
+#: Streaming-ingest buffer per generation feed.
+FEED_CAPACITY = 4096
+#: Backpressure: how long a feed put may block, in seconds.
+FEED_PUT_TIMEOUT = 5.0
+
+
 @dataclass
 class GatewayConfig:
     """Knobs of the gateway."""
 
     workers: int = 2  # concurrent jobs (each off-loads to an executor thread)
     history_limit: int = 64  # finished jobs kept addressable
-    notification_backlog: int = 256  # per-tenant retained notifications
     default_quota: TenantQuota = field(default_factory=TenantQuota)
     auto_register: bool = True  # unknown tenants get the default quota on first use
     model: str = "gpt-4o"  # generation profile for feed jobs
     seed: int = 1633
-    feed_capacity: int = 4096  # streaming-ingest buffer per generation feed
-    feed_put_timeout: float = 5.0  # backpressure: how long a feed put may block
 
 
 def _with_ctx(tracer, ctx, fn):
@@ -122,9 +125,7 @@ class GatewayApp:
         )
         self.latency = LatencyTracker()
         self.jobs.on_transition = self._on_job_transition
-        self.hub = NotificationHub(
-            backlog=self.config.notification_backlog, clock=self.clock
-        )
+        self.hub = NotificationHub(clock=self.clock)
         self._feeds: Dict[str, BoundedQueue] = {}  # open generation feeds by job id
         self._arenas: Dict[str, object] = {}  # lazy per-tenant ArenaRunner
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -244,7 +245,7 @@ class GatewayApp:
         """
         tenant = self._admit(tenant_name)
         loop = self._require_loop()
-        feed = BoundedQueue(max_items=self.config.feed_capacity)
+        feed = BoundedQueue(max_items=FEED_CAPACITY)
         session = GenerationSession(
             config=RuleLLMConfig.full(model=self.config.model, seed=self.config.seed),
             registry=tenant.registry,
@@ -303,12 +304,12 @@ class GatewayApp:
         for package in packages:
             accepted = await loop.run_in_executor(
                 None,
-                lambda p=package: feed.put(p, timeout=self.config.feed_put_timeout),
+                lambda p=package: feed.put(p, timeout=FEED_PUT_TIMEOUT),
             )
             if not accepted:  # the consumer is that far behind: shed load
                 raise RateLimited(
                     f"generation feed {job_id!r} is backpressured",
-                    retry_after=self.config.feed_put_timeout,
+                    retry_after=FEED_PUT_TIMEOUT,
                 )
             fed += 1
         return fed

@@ -14,7 +14,7 @@ long-poll endpoint (``GET /v1/<tenant>/events?after=N&wait=T``), so
 clients stop polling the registry for publishes.
 
 Backlogs are bounded: a tenant that never reads loses its *oldest*
-notifications (counted in ``dropped``), never the gateway's memory.
+notifications, never the gateway's memory.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class _Channel:
         self.seq = 0
         self.events: "deque[Notification]" = deque(maxlen=backlog)
         self.wakeup = asyncio.Event()
-        self.dropped = 0
 
 
 class NotificationHub:
@@ -73,14 +72,6 @@ class NotificationHub:
         """Attach the hub to the gateway's event loop (enables cross-thread
         publishing; done once by :meth:`GatewayApp.start`)."""
         self._loop = loop
-
-    def channel_stats(self, tenant: str) -> dict:
-        channel = self._channel(tenant)
-        return {
-            "seq": channel.seq,
-            "backlog": len(channel.events),
-            "dropped": channel.dropped,
-        }
 
     def _channel(self, tenant: str) -> _Channel:
         channel = self._channels.get(tenant)
@@ -110,8 +101,6 @@ class NotificationHub:
 
     def _publish_now(self, tenant: str, kind: str, payload: dict) -> None:
         channel = self._channel(tenant)
-        if len(channel.events) == self.backlog:
-            channel.dropped += 1  # the append below evicts the oldest
         channel.seq += 1
         channel.events.append(
             Notification(

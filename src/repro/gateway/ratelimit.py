@@ -95,22 +95,6 @@ class TokenBucket:
                 return False, math.inf
             return False, deficit / self.refill_per_second
 
-    def acquire_or_raise(self, tokens: float = 1.0, what: str = "request") -> None:
-        granted, retry_after = self.try_acquire(tokens)
-        if not granted:
-            raise RateLimited(
-                f"{what} rejected: quota exhausted "
-                f"(capacity {self.capacity:g}, {self.refill_per_second:g}/s)",
-                retry_after=retry_after,
-            )
-
-    @property
-    def available(self) -> float:
-        """Tokens currently in the bucket (after a refill pass)."""
-        with self._lock:
-            self._refill_locked()
-            return self._tokens
-
 
 @dataclass(frozen=True)
 class Backoff:

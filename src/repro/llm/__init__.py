@@ -24,7 +24,7 @@ Swapping in a real API client only requires implementing
 
 from repro.llm.base import ChatMessage, CompletionRequest, LLMProvider, LLMResponse, Usage
 from repro.llm.tokenizer import count_tokens, truncate_to_tokens
-from repro.llm.knowledge import IndicatorPattern, INDICATOR_CATALOG, indicators_for_category
+from repro.llm.knowledge import IndicatorPattern, INDICATOR_CATALOG
 from repro.llm.analysis import BehaviorFinding, CodeAnalysisReport, CodeAnalyzer
 from repro.llm.profiles import ModelProfile, PROFILES, get_profile
 from repro.llm.faults import FaultInjector
@@ -40,7 +40,6 @@ __all__ = [
     "truncate_to_tokens",
     "IndicatorPattern",
     "INDICATOR_CATALOG",
-    "indicators_for_category",
     "BehaviorFinding",
     "CodeAnalysisReport",
     "CodeAnalyzer",

@@ -49,14 +49,6 @@ class CodeAnalysisReport:
     analyzed_units: int = 0
     truncated: bool = False
 
-    @property
-    def is_suspicious(self) -> bool:
-        return bool(self.findings) or bool(self.metadata_findings)
-
-    @property
-    def subcategories(self) -> list[str]:
-        return sorted({finding.subcategory for finding in self.findings})
-
     def merge(self, other: "CodeAnalysisReport") -> "CodeAnalysisReport":
         """Combine two reports (used when auditing multiple similar units)."""
         merged = CodeAnalysisReport(

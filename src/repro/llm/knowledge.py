@@ -628,20 +628,8 @@ INDICATOR_CATALOG: tuple[IndicatorPattern, ...] = (
 )
 
 
-def indicators_for_category(audit_category: str) -> list[IndicatorPattern]:
-    """Return all catalogue entries of one Table II audit category."""
-    return [entry for entry in INDICATOR_CATALOG if entry.audit_category == audit_category]
-
-
 def indicator_by_key(key: str) -> IndicatorPattern:
     for entry in INDICATOR_CATALOG:
         if entry.key == key:
             return entry
     raise KeyError(f"unknown indicator key: {key}")
-
-
-def minimum_specificity(keys: list[str]) -> float:
-    """Lowest specificity among the given indicator keys (1.0 for empty input)."""
-    if not keys:
-        return 1.0
-    return min(indicator_by_key(key).specificity for key in keys)

@@ -122,10 +122,6 @@ class _GaugeChild:
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
     @property
     def value(self) -> float:
         with self._lock:
@@ -143,9 +139,6 @@ class Gauge(_Family):
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         (self.labels(**labels) if labels else self._default_child()).inc(amount)
-
-    def dec(self, amount: float = 1.0, **labels: str) -> None:
-        (self.labels(**labels) if labels else self._default_child()).dec(amount)
 
 
 class HistogramChild:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.utils.atomic import atomic_write_text
 
 __all__ = [
     "SpanContext",
@@ -285,19 +284,6 @@ class Tracer:
         if trace_id is not None:
             records = [r for r in records if r.get("trace_id") == trace_id]
         return records
-
-    def trace_ids(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for record in self.spans():
-            seen.setdefault(record.get("trace_id", ""), None)
-        return [t for t in seen if t]
-
-    def export(self, path: str) -> int:
-        """Atomically dump the full ring as JSONL (crash-safe)."""
-        records = self.spans()
-        text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-        atomic_write_text(Path(path), text)
-        return len(records)
 
     def close(self) -> None:
         with self._lock:

@@ -71,14 +71,6 @@ class ScanResultCache:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
 
-    def invalidate_version(self, ruleset_version: int | str) -> int:
-        """Drop every entry of one ruleset version (e.g. after a retire)."""
-        with self._lock:
-            stale = [key for key in self._entries if key[1] == ruleset_version]
-            for key in stale:
-                del self._entries[key]
-            return len(stale)
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()

@@ -32,7 +32,7 @@ from repro.semgrepx.compiler import CompiledSemgrepRule, CompiledSemgrepRuleSet
 from repro.semgrepx.matcher import ScanTarget, SemgrepFinding
 from repro.yarax import ast_nodes as yast
 from repro.yarax.compiler import CompiledRule, CompiledRuleSet
-from repro.yarax.matcher import CompiledString, ConditionEvaluator, RuleMatch
+from repro.yarax.matcher import CompiledString, ConditionEvaluator
 
 #: Lane label reported by :attr:`RuleIndex.lane`, the ``lane`` span attribute
 #: and the ``repro_scan_batches_total{lane}`` counter for the matcher's joined
@@ -190,10 +190,10 @@ class IndexStats:
 class RuleIndex:
     """Prefilter index over a compiled YARA and/or Semgrep rule set.
 
-    ``match_yara`` / ``match_semgrep`` produce exactly what
+    ``yara_rule_names`` / ``match_semgrep`` produce exactly the rules
     ``CompiledRuleSet.match`` / ``CompiledSemgrepRuleSet.match_target``
-    would, in the same order — rules whose atoms did not occur are provably
-    unable to fire and are skipped without evaluation.
+    would fire, in the same order — rules whose atoms did not occur are
+    provably unable to fire and are skipped without evaluation.
 
     The packed atom tables are compiled once here (construction == registry
     publish time) and the whole index pickles, so process-pool shard
@@ -451,23 +451,6 @@ class RuleIndex:
             )
         ]
 
-    def match_yara(self, text: str) -> list[RuleMatch]:
-        """Identical to ``CompiledRuleSet.match(text)``, prefilter included.
-
-        Only rules whose conditions verifiably hold pay for full occurrence
-        collection, so the expensive path runs exactly as often as there are
-        detections.
-        """
-        if self.yara is None:
-            return []
-        results: list[RuleMatch] = []
-        rules = self.yara.rules
-        for position in self._firing_positions(text):
-            found = rules[position].match(text)
-            if found is not None:
-                results.append(found)
-        return results
-
     def match_semgrep(
         self,
         target: ScanTarget,
@@ -510,11 +493,3 @@ class RuleIndex:
             packed_memory_bytes=automaton.memory_bytes,
             batch_guards=automaton.guard_count,
         )
-
-    def fallback_reasons(self) -> dict[str, str]:
-        """Why each non-indexable rule bypasses the prefilter."""
-        return {
-            atoms.rule_key: atoms.reason
-            for atoms in self.rule_atoms
-            if not atoms.indexable
-        }

@@ -564,14 +564,6 @@ class RulesetRegistry:
             raise ValueError("no shard contributed any rules")
         return layers
 
-    def stack_layers(self, stack_id: str) -> list[RulesetVersion]:
-        """All versions of one stacked publish, bottom layer first."""
-        with self._lock:
-            layers = [
-                v for v in self._versions.values() if v.stack_id == stack_id
-            ]
-        return sorted(layers, key=lambda v: v.version)
-
     # -- resolution ---------------------------------------------------------------
     def current(self) -> RulesetVersion:
         with self._lock:

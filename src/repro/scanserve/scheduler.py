@@ -9,9 +9,9 @@ Two execution lanes:
   workers, each primed once by the initializer; later runs with the same
   ``key`` (the name of the worker state the initializer builds, e.g. a
   ruleset version) reuse it, and a run with another key, or after a
-  failure, replaces it.  A bounded in-flight window makes submission block
-  when two tasks per worker are outstanding, so an arbitrarily large batch
-  never materialises an unbounded task queue (backpressure).
+  failure, replaces it.  A run submits every shard at once, so the caller
+  bounds the task queue by how many shards it passes: ``ScanService``
+  passes at most one per worker.
 * ``inprocess`` — the same shard function executed serially in the calling
   process; the fallback for environments where forking/spawning is
   unavailable and the deterministic lane the tests use.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -139,8 +139,6 @@ class ScanScheduler:
 
     def _run_process(self, shards, shard_fn, init_fn, init_args, key) -> SchedulerReport:
         workers = max(1, self.max_workers or os.cpu_count() or 2)
-        max_pending = workers * 2  # in-flight window before submission blocks
-        results: list = [None] * len(shards)
         with self._pool_lock:
             if self._pool is None or self._pool_key != key:
                 self._shutdown_pool()
@@ -149,15 +147,8 @@ class ScanScheduler:
                 )
                 self._pool_key = key
             try:
-                pending = {}
-                for shard_id, shard in enumerate(shards):
-                    while len(pending) >= max_pending:  # backpressure
-                        done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                        for future in done:
-                            results[pending.pop(future)] = future.result()
-                    pending[self._pool.submit(shard_fn, shard)] = shard_id
-                for future, shard_id in pending.items():
-                    results[shard_id] = future.result()
+                futures = [self._pool.submit(shard_fn, shard) for shard in shards]
+                results = [future.result() for future in futures]
             except BaseException:
                 # the pool may be broken (a dead worker breaks it for good),
                 # so the next run starts a fresh one

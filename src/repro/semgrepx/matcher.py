@@ -40,10 +40,6 @@ class ParsedFile:
     _index: Optional[TreeIndex] = field(default=None, repr=False, compare=False)
 
     @property
-    def parse_failed(self) -> bool:
-        return self.tree is None
-
-    @property
     def index(self) -> TreeIndex:
         """The parsed tree's node index, built by one walk on first use."""
         if self._index is None:

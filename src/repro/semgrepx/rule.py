@@ -121,9 +121,7 @@ class SemgrepRuleBuilder:
     severity: str = "WARNING"
     metadata: dict[str, Any] = field(default_factory=dict)
     _either: list[str] = field(default_factory=list)
-    _all: list[str] = field(default_factory=list)
     _regex: str | None = None
-    _not: str | None = None
 
     def set_message(self, message: str) -> "SemgrepRuleBuilder":
         self.message = message
@@ -137,21 +135,13 @@ class SemgrepRuleBuilder:
         self._either.append(pattern)
         return self
 
-    def and_pattern(self, pattern: str) -> "SemgrepRuleBuilder":
-        self._all.append(pattern)
-        return self
-
     def regex(self, pattern: str) -> "SemgrepRuleBuilder":
         self._regex = pattern
         return self
 
-    def not_pattern(self, pattern: str) -> "SemgrepRuleBuilder":
-        self._not = pattern
-        return self
-
     @property
     def pattern_count(self) -> int:
-        return len(self._either) + len(self._all) + (1 if self._regex else 0)
+        return len(self._either) + (1 if self._regex else 0)
 
     def build(self) -> SemgrepRule:
         rule = SemgrepRule(
@@ -160,15 +150,11 @@ class SemgrepRuleBuilder:
             severity=self.severity,
             metadata=dict(self.metadata),
         )
-        if len(self._either) == 1 and not self._all:
+        if len(self._either) == 1:
             rule.pattern = self._either[0]
         elif self._either:
             rule.pattern_either = [{"pattern": p} for p in self._either]
-        if self._all:
-            rule.patterns = [{"pattern": p} for p in self._all]
         if self._regex:
             rule.pattern_regex = self._regex
-        if self._not:
-            rule.pattern_not = self._not
         rule.validate()
         return rule

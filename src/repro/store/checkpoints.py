@@ -141,10 +141,6 @@ class FleetReconciliation:
     damaged: list[str] = field(default_factory=list)  # record present, blob gone
     merged_epoch: Optional[int] = None  # a prior run already merged
 
-    @property
-    def resumable(self) -> bool:
-        return bool(self.finished) and self.merged_epoch is None
-
     def describe(self) -> str:
         parts = [
             f"run {self.run_key[:12]}: {len(self.finished)} finished, "

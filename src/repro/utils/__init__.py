@@ -10,12 +10,7 @@ the same evaluation numbers.
 
 from repro.utils.hashing import stable_hash, content_signature, stable_digest
 from repro.utils.seeding import DeterministicRandom, derive_seed
-from repro.utils.text import (
-    dedent_code,
-    normalize_whitespace,
-    truncate_middle,
-    split_lines_keepends,
-)
+from repro.utils.text import dedent_code
 
 __all__ = [
     "stable_hash",
@@ -24,7 +19,4 @@ __all__ = [
     "DeterministicRandom",
     "derive_seed",
     "dedent_code",
-    "normalize_whitespace",
-    "truncate_middle",
-    "split_lines_keepends",
 ]

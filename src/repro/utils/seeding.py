@@ -11,7 +11,7 @@ keeps independent subsystems decorrelated while remaining fully reproducible:
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 from repro.utils.hashing import stable_hash
 
@@ -45,9 +45,6 @@ class DeterministicRandom:
 
     def uniform(self, low: float, high: float) -> float:
         return self._rng.uniform(low, high)
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._rng.gauss(mu, sigma)
 
     # -- collection draws ------------------------------------------------
     def choice(self, seq: Sequence[T]) -> T:
@@ -84,11 +81,3 @@ class DeterministicRandom:
     def child(self, *scope: str) -> "DeterministicRandom":
         """Return a new independent stream scoped below this one."""
         return DeterministicRandom(self.seed, *scope)
-
-
-def spread(values: Iterable[float]) -> float:
-    """Return max - min of an iterable of floats (0.0 for empty input)."""
-    values = list(values)
-    if not values:
-        return 0.0
-    return max(values) - min(values)

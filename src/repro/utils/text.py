@@ -5,45 +5,10 @@ from __future__ import annotations
 import re
 import textwrap
 
-_WHITESPACE_RE = re.compile(r"\s+")
-
 
 def dedent_code(code: str) -> str:
     """Dedent a triple-quoted code template and strip leading blank lines."""
     return textwrap.dedent(code).lstrip("\n")
-
-
-def normalize_whitespace(text: str) -> str:
-    """Collapse all whitespace runs to single spaces and strip the ends."""
-    return _WHITESPACE_RE.sub(" ", text).strip()
-
-
-def truncate_middle(text: str, max_length: int, marker: str = " ... ") -> str:
-    """Truncate ``text`` to ``max_length`` characters, cutting the middle.
-
-    Used when embedding long code excerpts in prompts: the head and tail of a
-    snippet usually carry the imports and the behaviour, so both are kept.
-    """
-    if max_length <= 0:
-        return ""
-    if len(text) <= max_length:
-        return text
-    if max_length <= len(marker):
-        return text[:max_length]
-    keep = max_length - len(marker)
-    head = keep // 2 + keep % 2
-    tail = keep // 2
-    return text[:head] + marker + (text[-tail:] if tail else "")
-
-
-def split_lines_keepends(text: str) -> list[str]:
-    """Split into lines preserving line endings (like ``str.splitlines(True)``)."""
-    return text.splitlines(keepends=True)
-
-
-def indent_block(text: str, prefix: str = "    ") -> str:
-    """Indent every non-empty line of ``text`` by ``prefix``."""
-    return "\n".join(prefix + line if line.strip() else line for line in text.splitlines())
 
 
 def count_loc(text: str) -> int:

@@ -11,7 +11,7 @@ the LLM (paper Section IV-C, Figure 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.yarax import ast_nodes as ast
 from repro.yarax.errors import YaraCompilationError
@@ -171,8 +171,3 @@ def try_compile(source: str) -> tuple[CompiledRuleSet | None, str | None]:
         return compile_source(source), None
     except Exception as exc:  # YaraError subclasses carry the message
         return None, str(exc)
-
-
-def scan_many(ruleset: CompiledRuleSet, documents: Iterable[str]) -> list[list[RuleMatch]]:
-    """Scan each document with the rule set, preserving input order."""
-    return [ruleset.match(document) for document in documents]

@@ -182,10 +182,6 @@ class RuleMatch:
     meta: dict[str, object] = field(default_factory=dict)
     string_matches: list[StringMatch] = field(default_factory=list)
 
-    @property
-    def matched_identifiers(self) -> set[str]:
-        return {m.identifier for m in self.string_matches}
-
 
 class CompiledString:
     """A string definition compiled into an executable matcher.
@@ -341,10 +337,6 @@ class CompiledString:
         )
 
     # -- atoms -------------------------------------------------------------------
-    @property
-    def case_insensitive(self) -> bool:
-        return bool(self._flags & re.IGNORECASE)
-
     def atoms(self, min_length: int = 3) -> tuple[str, ...]:
         """Literal substrings guaranteed to occur in any match of this string.
 

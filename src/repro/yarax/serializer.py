@@ -151,16 +151,8 @@ class YaraRuleBuilder:
         self._condition = ast.OfExpr("any", ast.StringSet(them=True))
         return self
 
-    def condition_all_of_them(self) -> "YaraRuleBuilder":
-        self._condition = ast.OfExpr("all", ast.StringSet(them=True))
-        return self
-
     def condition_n_of_them(self, n: int) -> "YaraRuleBuilder":
         self._condition = ast.OfExpr(int(n), ast.StringSet(them=True))
-        return self
-
-    def condition_expression(self, expression: ast.Expression) -> "YaraRuleBuilder":
-        self._condition = expression
         return self
 
     # -- output -------------------------------------------------------------------

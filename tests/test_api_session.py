@@ -14,7 +14,6 @@ from repro.api import (
     RuleLLMConfig,
     ScanService,
     ScanServiceConfig,
-    group_stages,
 )
 from repro.core import RuleLLM
 from repro.evaluation.detector import RuleScanner
@@ -86,13 +85,11 @@ class TestGenerationSession:
 
     def test_results_history(self, malware_packages):
         session = GenerationSession(RuleLLMConfig.full())
-        assert session.last_result is None
         session.add_batch(malware_packages[:2])
         first = session.generate()
         session.add_batch(malware_packages[2:4])
         second = session.generate()
         assert session.results == [first, second]
-        assert session.last_result is second
 
 
 # -- streaming feed -----------------------------------------------------------------
@@ -154,7 +151,9 @@ class TestPluggableStages:
         legacy = RuleLLM(RuleLLMConfig.full()).generate_rules_for_group(
             packages, cluster_id=7
         )
-        session = GenerationSession(RuleLLMConfig.full(), stages=group_stages(7))
+        session = GenerationSession(RuleLLMConfig.full(), stages=[
+            PresetClusterStage(7), CraftStage(), RefineStage(), AlignStage(),
+        ])
         session.add_batch(packages)
         assert _rule_texts(session.generate().rule_set) == _rule_texts(legacy)
 

@@ -330,7 +330,7 @@ class TestAutoMode:
         runner.start()
         runner.stop(drain=True)
         assert len(runner.history) == 2
-        assert runner.pending_rounds == 0
+        assert runner._pending.qsize() == 0
 
     def test_double_start_rejected(self):
         runner = ArenaRunner(

@@ -12,7 +12,7 @@ from repro.baselines import (
     normalized_entropy,
     shannon_entropy,
 )
-from repro.baselines.score_based import ScoreBasedConfig
+from repro.baselines.score_based import MIN_STRING_LENGTH
 from repro.evaluation.detector import RuleScanner
 
 
@@ -105,11 +105,11 @@ def test_score_based_extracts_candidate_strings(malware_packages):
     generator = ScoreBasedRuleGenerator()
     strings = generator.extract_strings(malware_packages[0])
     assert strings
-    assert all(len(s) >= generator.config.min_string_length for s in strings)
+    assert all(len(s) >= MIN_STRING_LENGTH for s in strings)
 
 
 def test_score_based_generates_compilable_rules(small_dataset):
-    generator = ScoreBasedRuleGenerator(ScoreBasedConfig(clusters_hint=4))
+    generator = ScoreBasedRuleGenerator()
     result = generator.generate(small_dataset.malware, small_dataset.benign)
     compiled = result.compile()
     assert len(compiled) >= 1

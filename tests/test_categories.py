@@ -9,7 +9,6 @@ from repro.categories import (
     PAPER_TABLE_XII_COUNTS,
     SUBCATEGORIES,
     TaxonomyLabel,
-    all_subcategories,
     category_of,
 )
 
@@ -56,6 +55,7 @@ def test_taxonomy_label_validation():
 
 
 def test_all_subcategories_enumerates_38_unique_labels():
-    labels = all_subcategories()
+    labels = [TaxonomyLabel(category, subcategory)
+              for category in CATEGORIES for subcategory in SUBCATEGORIES[category]]
     assert len(labels) == 38
     assert len({(l.category, l.subcategory) for l in labels}) == 38

@@ -4,8 +4,8 @@ import pytest
 
 from repro.categories import CATEGORIES
 from repro.core import RuleLLM, RuleLLMConfig
-from repro.core.rules import GeneratedRule, GeneratedRuleSet, combine
-from repro.core.taxonomy import RuleTaxonomyClassifier, classify_rule
+from repro.core.rules import GeneratedRule, GeneratedRuleSet
+from repro.core.taxonomy import RuleTaxonomyClassifier
 from repro.evaluation.detector import RuleScanner
 
 
@@ -59,25 +59,17 @@ def test_rule_set_save_and_load_roundtrip(tmp_path):
     assert len(loaded.compile_semgrep()) == 1
 
 
-def test_combine_rule_sets():
-    a, b = GeneratedRuleSet(model="gpt-4o"), GeneratedRuleSet()
-    a.add(_yara_rule("MAL_one"))
-    b.add(_semgrep_rule("detect-two"))
-    merged = combine([a, b])
-    assert len(merged) == 2 and merged.model == "gpt-4o"
-
-
 # -- taxonomy ---------------------------------------------------------------------------
 
 def test_classify_network_rule():
-    classification = classify_rule(_yara_rule())
-    assert "Messaging Platform Abuse" in classification.subcategories
+    classification = RuleTaxonomyClassifier().classify(_yara_rule())
+    assert "Messaging Platform Abuse" in {label.subcategory for label in classification.labels}
 
 
 def test_classify_unknown_rule_falls_back_to_other():
     rule = GeneratedRule(format="yara", name="MAL_opaque",
                          text='rule MAL_opaque { strings: $a = "zzzqqqzzz" condition: $a }')
-    classification = classify_rule(rule)
+    classification = RuleTaxonomyClassifier().classify(rule)
     assert classification.categories == ["Other Rules"]
 
 

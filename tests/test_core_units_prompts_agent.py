@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.agent import AgentMemory, AlignmentAgent, semgrep_compiler_tool, yara_compiler_tool
-from repro.core.basic_units import extract_basic_units, interesting_units, split_basic_units
+from repro.core.basic_units import extract_basic_units, split_basic_units
 from repro.core.config import RuleLLMConfig
 from repro.core.prompts import (
     render_craft_prompt,
@@ -72,18 +72,6 @@ def test_extract_basic_units_from_package(malware_packages):
     units = extract_basic_units(malware_packages[0])
     assert units
     assert all(unit.package == malware_packages[0].identifier for unit in units)
-
-
-def test_interesting_units_prefers_definitions():
-    units = extract_basic_units(_fake_pkg())
-    ordered = interesting_units(units)
-    assert ordered[0].first_line.startswith(("def ", "class "))
-
-
-def _fake_pkg():
-    from repro.corpus.package import Package, PackageFile, PackageMetadata
-    return Package(name="t", version="1", metadata=PackageMetadata(name="t"),
-                   files=[PackageFile("t/mod.py", SOURCE)])
 
 
 # -- prompts ------------------------------------------------------------------------
@@ -168,10 +156,6 @@ def test_agent_unknown_format_raises():
 
 
 def test_config_validation_and_presets():
-    with pytest.raises(ValueError):
-        RuleLLMConfig(basic_unit_max_chars=10)
-    with pytest.raises(ValueError):
-        RuleLLMConfig(cluster_similarity_threshold=0.0)
     alone = RuleLLMConfig.llm_alone()
     assert not alone.use_basic_units and not alone.use_alignment and not alone.use_refinement
     full = RuleLLMConfig.full()

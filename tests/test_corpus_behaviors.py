@@ -64,7 +64,7 @@ def test_fixed_variant_index_pins_template():
 
 def test_metadata_behaviors_patch_metadata_only():
     rng = DeterministicRandom(7, "meta")
-    for behavior in REGISTRY.by_category(METADATA_RELATED):
+    for behavior in (b for b in REGISTRY.all() if b.category == METADATA_RELATED):
         rendered = behavior.render(rng.child(behavior.key))
         assert rendered.metadata_patch
         assert not rendered.functions
@@ -72,15 +72,10 @@ def test_metadata_behaviors_patch_metadata_only():
 
 def test_setup_code_behaviors_provide_setup_snippets():
     rng = DeterministicRandom(8, "setup")
-    setup_behaviors = REGISTRY.by_category("Setup Code")
+    setup_behaviors = [b for b in REGISTRY.all() if b.category == "Setup Code"]
     assert setup_behaviors
     snippets = [behavior.render(rng.child(behavior.key)).setup_snippet for behavior in setup_behaviors]
     assert any(snippets)
-
-
-def test_by_subcategory_lookup():
-    c2 = REGISTRY.by_subcategory("C2 Communication")
-    assert c2 and all(b.subcategory == "C2 Communication" for b in c2)
 
 
 def test_registry_covers_all_38_subcategories_exactly_once_each_at_minimum():

@@ -1,7 +1,7 @@
 """Tests for deduplication and dataset assembly."""
 
 from repro.corpus import DatasetConfig, build_dataset, deduplicate
-from repro.corpus.dedup import duplicate_clusters, package_signature
+from repro.corpus.dedup import package_signature
 from repro.corpus.package import Package, PackageFile, PackageMetadata
 
 
@@ -39,7 +39,6 @@ def test_deduplicate_keeps_first_occurrence():
     assert [p.name for p in result.unique] == ["alpha", "gamma"]
     assert [p.name for p in result.duplicates] == ["beta"]
     assert result.total == 3
-    assert 0.0 < result.dedup_ratio < 1.0
 
 
 def test_deduplicate_idempotent():
@@ -48,13 +47,6 @@ def test_deduplicate_idempotent():
     twice = deduplicate(once.unique)
     assert len(twice.unique) == len(once.unique)
     assert not twice.duplicates
-
-
-def test_duplicate_clusters_only_returns_groups():
-    packages = [make_pkg("a", "same"), make_pkg("b", "same"), make_pkg("c", "different")]
-    clusters = duplicate_clusters(packages)
-    assert len(clusters) == 1
-    assert len(clusters[0]) == 2
 
 
 def test_build_dataset_small_structure():

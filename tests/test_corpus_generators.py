@@ -2,13 +2,14 @@
 
 import ast
 
+from repro.corpus import malware_generator
 from repro.corpus.benign_generator import BenignGenerator, BenignGeneratorConfig
 from repro.corpus.malware_generator import MalwareGenerator, MalwareGeneratorConfig
 from repro.corpus.package import BENIGN, MALWARE
 
 
-def small_malware(count=24, **overrides):
-    config = MalwareGeneratorConfig(package_count=count, seed=77, **overrides)
+def small_malware(count=24):
+    config = MalwareGeneratorConfig(package_count=count, seed=77)
     return MalwareGenerator(config).generate()
 
 
@@ -35,7 +36,7 @@ def test_malware_packages_have_setup_and_payload():
     for pkg in small_malware(12):
         assert pkg.file("setup.py") is not None
         assert pkg.file("PKG-INFO") is not None
-        assert any(path.endswith("core.py") for path in pkg.iter_paths())
+        assert any(f.path.endswith("core.py") for f in pkg.files)
 
 
 def test_malware_packages_carry_behavior_labels():
@@ -45,7 +46,7 @@ def test_malware_packages_carry_behavior_labels():
 
 
 def test_malware_duplicate_fraction_produces_duplicates():
-    packages = small_malware(30, duplicate_fraction=0.5)
+    packages = small_malware(30)
     signatures = {}
     for pkg in packages:
         signatures.setdefault(pkg.signature, 0)
@@ -67,15 +68,18 @@ def test_family_members_share_behaviors():
         assert len(behaviors) == 1
 
 
-def test_obfuscated_families_hide_plain_indicators():
-    packages = small_malware(40, obfuscation_probability=1.0, evasive_family_probability=0.0)
+def test_obfuscated_families_hide_plain_indicators(monkeypatch):
+    monkeypatch.setattr(malware_generator, "OBFUSCATION_PROBABILITY", 1.0)
+    monkeypatch.setattr(malware_generator, "EVASIVE_FAMILY_PROBABILITY", 0.0)
+    packages = small_malware(40)
     for pkg in packages:
         core = next(f for f in pkg.files if f.path.endswith("core.py"))
         assert "base64.b64decode(_blob)" in core.content
 
 
-def test_generated_python_parses(subtests=None):
-    for pkg in small_malware(10, obfuscation_probability=0.0):
+def test_generated_python_parses(monkeypatch):
+    monkeypatch.setattr(malware_generator, "OBFUSCATION_PROBABILITY", 0.0)
+    for pkg in small_malware(10):
         for source in pkg.source_files:
             ast.parse(source.content)
 

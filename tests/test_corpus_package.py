@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.corpus.package import BENIGN, MALWARE, Package, PackageFile, PackageMetadata, partition_by_label
+from repro.corpus.package import BENIGN, MALWARE, Package, PackageFile, PackageMetadata
 
 
 def make_package(label=BENIGN):
@@ -35,14 +35,8 @@ def test_is_malicious_flag():
 
 def test_source_files_filters_python():
     pkg = make_package()
-    pkg.add_file("README.md", "# readme")
+    pkg.files.append(PackageFile("README.md", "# readme"))
     assert {f.path for f in pkg.source_files} == {"setup.py", "demo/__init__.py"}
-
-
-def test_add_file_rejects_duplicates():
-    pkg = make_package()
-    with pytest.raises(ValueError):
-        pkg.add_file("setup.py", "again")
 
 
 def test_loc_ignores_comments():
@@ -68,12 +62,6 @@ def test_file_lookup():
     pkg = make_package()
     assert pkg.file("setup.py") is not None
     assert pkg.file("missing.py") is None
-
-
-def test_partition_by_label():
-    packages = [make_package(MALWARE), make_package(BENIGN), make_package(MALWARE)]
-    malicious, benign = partition_by_label(packages)
-    assert len(malicious) == 2 and len(benign) == 1
 
 
 def test_metadata_json_roundtrip():

@@ -10,15 +10,19 @@ from hypothesis import strategies as st
 from repro.corpus import DatasetConfig, build_dataset
 from repro.corpus.package import Package, PackageFile, PackageMetadata
 from repro.extraction import embedding
-from repro.extraction.clustering import (
-    KMeans,
-    cluster_packages,
-    cosine_similarity,
-    intra_cluster_similarity,
-)
-from repro.extraction.embedding import CodeEmbedder, EmbeddingConfig, tokenize_code
+from repro.extraction.clustering import KMeans, cluster_packages, intra_cluster_similarity
+from repro.extraction.embedding import DIMENSIONS, CodeEmbedder, tokenize_code
 from repro.extraction.snippets import split_segments
 from repro.utils.hashing import stable_hash
+
+
+def _package(index: int, contents: list[str]) -> Package:
+    return Package(
+        name=f"p{index}",
+        version="1.0",
+        metadata=PackageMetadata(name=f"p{index}"),
+        files=[PackageFile(f"mod{i}.py", content) for i, content in enumerate(contents)],
+    )
 
 
 def test_tokenize_code_handles_valid_python():
@@ -32,32 +36,25 @@ def test_tokenize_code_falls_back_on_broken_code():
 
 
 def test_embedding_is_unit_norm_and_deterministic():
-    embedder = CodeEmbedder()
-    a = embedder.embed("import os\nos.system('id')")
-    b = embedder.embed("import os\nos.system('id')")
-    assert np.allclose(a, b)
+    code = "import os\nos.system('id')"
+    a, b = CodeEmbedder().embed_packages([_package(0, [code]), _package(1, [code])])
+    assert np.array_equal(a, b)
     assert abs(np.linalg.norm(a) - 1.0) < 1e-9
 
 
 def test_embedding_similarity_orders_related_code_first():
-    embedder = CodeEmbedder()
-    base = embedder.embed_document("import socket\ns = socket.socket()\ns.connect(('h', 80))")
-    variant = embedder.embed_document("import socket\nsock = socket.socket()\nsock.connect(('x', 443))")
-    unrelated = embedder.embed_document("def moving_average(vals, w):\n    return sum(vals[-w:]) / w")
-    assert cosine_similarity(base, variant) > cosine_similarity(base, unrelated)
-
-
-def test_embedding_config_validation():
-    with pytest.raises(ValueError):
-        EmbeddingConfig(dimensions=4)
-    with pytest.raises(ValueError):
-        EmbeddingConfig(segment_length=0)
+    # rows are unit-norm, so their dot product is their cosine similarity
+    base, variant, unrelated = CodeEmbedder().embed_packages([
+        _package(0, ["import socket\ns = socket.socket()\ns.connect(('h', 80))"]),
+        _package(1, ["import socket\nsock = socket.socket()\nsock.connect(('x', 443))"]),
+        _package(2, ["def moving_average(vals, w):\n    return sum(vals[-w:]) / w"]),
+    ])
+    assert base @ variant > base @ unrelated
 
 
 def test_embed_packages_shape(malware_packages):
-    embedder = CodeEmbedder()
-    matrix = embedder.embed_packages(malware_packages[:5])
-    assert matrix.shape == (5, embedder.config.dimensions)
+    matrix = CodeEmbedder().embed_packages(malware_packages[:5])
+    assert matrix.shape == (5, DIMENSIONS)
 
 
 def test_kmeans_separates_obvious_clusters():
@@ -91,10 +88,6 @@ def test_intra_cluster_similarity_bounds():
     assert intra_cluster_similarity(single) == 1.0
 
 
-def test_cosine_similarity_zero_vector():
-    assert cosine_similarity(np.zeros(4), np.ones(4)) == 0.0
-
-
 def test_cluster_packages_groups_families(malware_packages):
     result = cluster_packages(malware_packages)
     assert result.package_count + sum(len(g) for g in result.discarded) == len(malware_packages)
@@ -122,28 +115,24 @@ def test_cluster_labels_mapping_consistent(malware_packages):
 # they must reproduce bit for bit.
 
 
-def _reference_embed(text: str, config: EmbeddingConfig) -> np.ndarray:
-    dims = config.dimensions
-    vector = np.zeros(dims, dtype=np.float64)
-    tokens = tokenize_code(text)
-    if config.lowercase:
-        tokens = [token.lower() for token in tokens]
+def _reference_embed(text: str) -> np.ndarray:
+    vector = np.zeros(DIMENSIONS, dtype=np.float64)
+    tokens = [token.lower() for token in tokenize_code(text)]
     if not tokens:
         return vector
     for token in tokens:
-        vector[stable_hash(token, bits=32) % dims] += 1.0
-    if config.use_bigrams:
-        for first, second in zip(tokens, tokens[1:]):
-            vector[stable_hash(first + "\x00" + second, bits=32) % dims] += 0.5
+        vector[stable_hash(token, bits=32) % DIMENSIONS] += 1.0
+    for first, second in zip(tokens, tokens[1:]):
+        vector[stable_hash(first + "\x00" + second, bits=32) % DIMENSIONS] += 0.5
     norm = np.linalg.norm(vector)
     if norm > 0:
         vector /= norm
     return vector
 
 
-def _reference_document(text: str, config: EmbeddingConfig) -> np.ndarray:
-    segments = split_segments(text, config.segment_length) or [""]
-    vector = np.vstack([_reference_embed(segment, config) for segment in segments]).mean(axis=0)
+def _reference_document(text: str) -> np.ndarray:
+    segments = split_segments(text) or [""]
+    vector = np.vstack([_reference_embed(segment) for segment in segments]).mean(axis=0)
     norm = np.linalg.norm(vector)
     if norm > 0:
         vector = vector / norm
@@ -153,9 +142,9 @@ def _reference_document(text: str, config: EmbeddingConfig) -> np.ndarray:
 class _ReferenceEmbedder(CodeEmbedder):
     def embed_packages(self, packages):
         if not packages:
-            return np.zeros((0, self.config.dimensions))
+            return np.zeros((0, DIMENSIONS))
         return np.vstack([
-            _reference_document(package.source_text or package.all_text, self.config)
+            _reference_document(package.source_text or package.all_text)
             for package in packages
         ])
 
@@ -199,43 +188,22 @@ _CODE = [
 ]
 
 _code = st.one_of(st.sampled_from(_CODE), st.text(max_size=300))
-_configs = st.builds(
-    EmbeddingConfig,
-    dimensions=st.sampled_from([8, 13, 256]),
-    segment_length=st.sampled_from([16, 64, 512]),
-    use_bigrams=st.booleans(),
-    lowercase=st.booleans(),
-)
-
-
-def _package(index: int, contents: list[str]) -> Package:
-    return Package(
-        name=f"p{index}",
-        version="1.0",
-        metadata=PackageMetadata(name=f"p{index}"),
-        files=[PackageFile(f"mod{i}.py", content) for i, content in enumerate(contents)],
-    )
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    _configs,
     st.lists(_code, min_size=1, max_size=5),
     st.lists(st.lists(st.integers(0, 4), max_size=4), min_size=1, max_size=6),
 )
-def test_embedder_matches_per_occurrence_reference(config, pool, layout):
+def test_embedder_matches_per_occurrence_reference(pool, layout):
     # packages draw their files from one small pool, so texts repeat within
-    # and across packages
+    # and across packages; one package per pool text compares each text alone
     packages = [
         _package(index, [pool[pick % len(pool)] for pick in picks])
         for index, picks in enumerate(layout)
-    ]
-    embedder = CodeEmbedder(config)
-    expected = _ReferenceEmbedder(config).embed_packages(packages)
-    assert np.array_equal(embedder.embed_packages(packages), expected)
-    for text in pool:
-        assert np.array_equal(embedder.embed(text), _reference_embed(text, config))
-        assert np.array_equal(embedder.embed_document(text), _reference_document(text, config))
+    ] + [_package(len(layout) + index, [text]) for index, text in enumerate(pool)]
+    expected = _ReferenceEmbedder().embed_packages(packages)
+    assert np.array_equal(CodeEmbedder().embed_packages(packages), expected)
 
 
 def test_cluster_packages_matches_reference_embedder(small_dataset):
@@ -268,11 +236,10 @@ def test_embedder_memo_lives_for_one_call(malware_packages, monkeypatch):
     monkeypatch.setattr(embedding, "stable_hash", counting_hash)
 
     packages = list(malware_packages)
-    config = EmbeddingConfig()
     segments = [
         segment
         for package in packages
-        for segment in split_segments(package.source_text or package.all_text, config.segment_length)
+        for segment in split_segments(package.source_text or package.all_text)
     ]
     keys = set()
     for segment in set(segments):
@@ -281,13 +248,13 @@ def test_embedder_memo_lives_for_one_call(malware_packages, monkeypatch):
         keys.update(first + "\x00" + second for first, second in zip(tokens, tokens[1:]))
     assert len(set(segments)) < len(segments)  # the corpus repeats segments
 
-    embedder = CodeEmbedder(config)
+    embedder = CodeEmbedder()
     instance_state = dict(vars(embedder))
     module_names = set(vars(embedding))
     runs = [
         lambda: embedder.embed_packages(packages),
-        lambda: embedder.embed_document("import os\n" * 200),
-        lambda: embedder.embed("import os"),
+        lambda: embedder.embed_packages([_package(0, ["import os\n" * 200])]),
+        lambda: embedder.embed_packages([_package(0, ["import os"])]),
     ]
     counts = []
     for run in runs:

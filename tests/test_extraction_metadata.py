@@ -5,7 +5,6 @@ from repro.extraction.metadata import (
     extract_metadata,
     metadata_audit,
     parse_pkg_info,
-    parse_registry_json,
     parse_setup_py,
 )
 
@@ -52,12 +51,6 @@ def test_parse_setup_py_fields():
     assert metadata.version == "3.1.4"
     assert metadata.summary == "a demo package"
     assert metadata.dependencies == ["requests", "click"]
-
-
-def test_parse_registry_json_accepts_pypi_shape():
-    metadata = parse_registry_json('{"info": {"name": "demo", "version": "1.2.3", "summary": "s"}}')
-    assert metadata.name == "demo"
-    assert metadata.version == "1.2.3"
 
 
 def test_extract_metadata_prefers_real_version_over_default():

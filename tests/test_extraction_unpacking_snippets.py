@@ -1,18 +1,10 @@
-"""Tests for unpacking and snippet extraction."""
-
-import io
-import tarfile
-import zipfile
+"""Tests for unpacking and code segmentation."""
 
 import pytest
 
 from repro.corpus.package import Package, PackageFile, PackageMetadata
-from repro.extraction.snippets import extract_snippets, split_segments
-from repro.extraction.unpacking import (
-    load_package_from_directory,
-    unpack_archive,
-    write_package_to_directory,
-)
+from repro.extraction.snippets import split_segments
+from repro.extraction.unpacking import load_package_from_directory, write_package_to_directory
 
 
 def _demo_package():
@@ -25,43 +17,6 @@ def _demo_package():
             PackageFile("PKG-INFO", "Name: demo\nVersion: 1.2.3\n"),
         ],
     )
-
-
-def _make_tar(files):
-    buffer = io.BytesIO()
-    with tarfile.open(fileobj=buffer, mode="w:gz") as archive:
-        for path, content in files:
-            data = content.encode()
-            info = tarfile.TarInfo(path)
-            info.size = len(data)
-            archive.addfile(info, io.BytesIO(data))
-    return buffer.getvalue()
-
-
-def _make_zip(files):
-    buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w") as archive:
-        for path, content in files:
-            archive.writestr(path, content)
-    return buffer.getvalue()
-
-
-def test_unpack_tar_archive():
-    data = _make_tar([("pkg/setup.py", "setup()"), ("pkg/mod.py", "x = 1"), ("pkg/bin.dat", "\x00")])
-    files = dict(unpack_archive(data))
-    assert "pkg/setup.py" in files
-    assert "pkg/mod.py" in files
-
-
-def test_unpack_zip_archive():
-    data = _make_zip([("pkg/setup.py", "setup()"), ("pkg/mod.py", "x = 1")])
-    files = dict(unpack_archive(data))
-    assert files["pkg/mod.py"] == "x = 1"
-
-
-def test_unpack_garbage_raises():
-    with pytest.raises(ValueError):
-        unpack_archive(b"this is not an archive at all")
 
 
 def test_write_and_load_package_roundtrip(tmp_path):
@@ -95,11 +50,3 @@ def test_split_segments_rejects_bad_length():
 
 def test_split_segments_empty_text():
     assert split_segments("", 512) == []
-
-
-def test_extract_snippets_covers_source_files():
-    pkg = _demo_package()
-    snippets = extract_snippets(pkg)
-    assert {snippet.path for snippet in snippets} == {"setup.py", "demo/__init__.py"}
-    assert all(snippet.package == pkg.identifier for snippet in snippets)
-    assert all(snippet.text.strip() for snippet in snippets)

@@ -58,8 +58,7 @@ class TestTokenBucket:
         assert bucket.try_acquire() == (True, 0.0)  # one token refilled
         assert not bucket.try_acquire()[0]
         clock.advance(100.0)  # refill caps at capacity, not 100 tokens
-        assert bucket.available == pytest.approx(2.0)
-        bucket.try_acquire(2)
+        assert bucket.try_acquire(2) == (True, 0.0)
         assert not bucket.try_acquire()[0]
 
     def test_zero_refill_reports_infinite_retry_after(self):
@@ -67,14 +66,6 @@ class TestTokenBucket:
         bucket.try_acquire()
         granted, retry_after = bucket.try_acquire()
         assert not granted and math.isinf(retry_after)
-
-    def test_acquire_or_raise_carries_retry_after(self):
-        clock = FakeClock()
-        bucket = TokenBucket(capacity=1, refill_per_second=2.0, clock=clock)
-        bucket.acquire_or_raise()
-        with pytest.raises(RateLimited) as excinfo:
-            bucket.acquire_or_raise()
-        assert excinfo.value.retry_after == pytest.approx(0.5)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

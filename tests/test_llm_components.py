@@ -9,11 +9,10 @@ from repro.llm import (
     CodeAnalyzer,
     count_tokens,
     get_profile,
-    indicators_for_category,
     truncate_to_tokens,
 )
 from repro.llm import protocol
-from repro.llm.knowledge import AUDIT_CATEGORIES, indicator_by_key, minimum_specificity
+from repro.llm.knowledge import AUDIT_CATEGORIES, indicator_by_key
 from repro.llm.profiles import PROFILES
 
 MALICIOUS_SNIPPET = '''
@@ -44,7 +43,7 @@ def test_catalog_is_substantial_and_unique():
 
 def test_catalog_covers_every_audit_category():
     for category in AUDIT_CATEGORIES:
-        assert indicators_for_category(category)
+        assert any(entry.audit_category == category for entry in INDICATOR_CATALOG)
 
 
 def test_catalog_subcategories_are_valid():
@@ -56,7 +55,7 @@ def test_catalog_subcategories_are_valid():
 def test_indicator_by_key_and_min_specificity():
     entry = indicator_by_key("net_discord_webhook")
     assert entry.specificity > 0.9
-    assert minimum_specificity(["net_discord_webhook", "exec_os_system"]) == pytest.approx(0.5)
+    assert indicator_by_key("exec_os_system").specificity == pytest.approx(0.5)
     with pytest.raises(KeyError):
         indicator_by_key("nope")
 
@@ -70,13 +69,12 @@ def test_analyzer_finds_expected_behaviors():
     assert "net_reverse_shell_dup2" in keys
     assert "enc_exec_b64" in keys
     assert "ioc_raw_ip_endpoint" in keys
-    assert report.is_suspicious
 
 
 def test_analyzer_clean_code_produces_no_findings():
     report = CodeAnalyzer().analyze_code(BENIGN_SNIPPET)
     assert report.findings == []
-    assert not report.is_suspicious
+    assert report.metadata_findings == []
 
 
 def test_analyzer_merges_multiple_units_without_duplicates():

@@ -148,7 +148,7 @@ def test_simulated_llm_seed_changes_output():
     b = SimulatedAnalystLLM(GPT_4O, seed=2).complete(craft_request())
     assert a.model == b.model == "gpt-4o"
     # outputs may coincide for robust rules but usage accounting always records
-    assert a.usage.total_tokens > 0 and b.usage.total_tokens > 0
+    assert a.usage.completion_tokens > 0 and b.usage.completion_tokens > 0
 
 
 def test_simulated_llm_oracle_craft_compiles():

@@ -1,6 +1,7 @@
 """The obs hygiene lint (``tools/check_obs_hygiene.py``) on temporary trees:
 unlisted timing, growth, shrinkage and stale allowlist entries all fail;
-exact ceilings and the ``repro.obs`` package pass."""
+exact ceilings and the ``repro.obs`` package pass; only calls count, not
+the text ``perf_counter(`` in a string."""
 
 import importlib.util
 from pathlib import Path
@@ -70,3 +71,26 @@ def test_stale_entry_fails(lint, tmp_path, capsys, calls):
     err = capsys.readouterr().err
     assert "src/repro/timed.py: allowlisted but has no perf_counter calls" in err
     assert "tighten ALLOWED" in err
+
+
+def test_string_literal_is_not_a_call(lint, tmp_path):
+    _write(tmp_path, "src/repro/timed.py", 2)
+    sample = tmp_path / "src/repro/sample.py"
+    sample.write_text(
+        'SOURCE = """\nstart = time.perf_counter()\n"""\n'
+        "NOTE = 'perf_counter(' + \"perf_counter()\"\n",
+        encoding="utf-8",
+    )
+    assert lint.count_calls(sample.read_text(encoding="utf-8")) == 0
+    assert lint.check(tmp_path) == 0
+
+
+def test_bare_name_call_counts(lint, tmp_path, capsys):
+    _write(tmp_path, "src/repro/timed.py", 2)
+    fresh = tmp_path / "src/repro/fresh.py"
+    fresh.write_text(
+        "from time import perf_counter\nstarted = perf_counter()\n",
+        encoding="utf-8",
+    )
+    assert lint.check(tmp_path) == 1
+    assert "src/repro/fresh.py: 1 perf_counter call(s)" in capsys.readouterr().err

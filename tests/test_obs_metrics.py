@@ -75,7 +75,7 @@ class TestGauges:
         gauge = registry.gauge("g", "help")
         gauge.set(10)
         gauge.inc(2)
-        gauge.dec(5)
+        gauge.inc(-5)
         assert gauge.labels().value == 7.0
 
 

@@ -74,7 +74,7 @@ class TestCompiledStringAtoms:
 
     def test_nocase_string_is_flagged_case_insensitive(self):
         rule = _compile_one('rule r { strings: $a = "EvAl" nocase condition: $a }')
-        assert rule.strings[0].case_insensitive
+        assert rule.strings[0].search("x = EVAL(y)")
         assert rule.strings[0].atoms() == ("EvAl",)
 
     def test_fullword_keeps_the_literal(self):
@@ -432,16 +432,12 @@ class TestRuleIndexParity:
             assert fired <= candidates
 
     def test_yara_parity_over_full_corpus(self, compiled_yara, small_dataset):
-        """Indexed scanning returns the *identical* RuleMatch list."""
+        """Indexed scanning fires the *identical* rules, in rule order."""
         index = RuleIndex(yara=compiled_yara)
         for package in small_dataset.packages:
             text = package.all_text
             naive = compiled_yara.match(text)
-            indexed = index.match_yara(text)
-            assert [m.rule_name for m in naive] == [m.rule_name for m in indexed]
-            assert [m.matched_identifiers for m in naive] == [
-                m.matched_identifiers for m in indexed
-            ]
+            assert [m.rule_name for m in naive] == index.yara_rule_names(text)
 
     def test_semgrep_parity_over_full_corpus(self, compiled_semgrep, small_dataset):
         from repro.semgrepx import ScanTarget
@@ -458,7 +454,7 @@ class TestRuleIndexParity:
         assert stats.semgrep_rules == len(compiled_semgrep.rules)
         assert 0 < stats.indexed_fraction <= 1
         assert stats.atoms > 0
-        assert len(index.fallback_reasons()) == (
+        assert sum(not atoms.indexable for atoms in index.rule_atoms) == (
             stats.yara_rules - stats.yara_indexed
         ) + (stats.semgrep_rules - stats.semgrep_indexed)
 
@@ -468,7 +464,7 @@ class TestRuleIndexParity:
         )
         index = RuleIndex(yara=ruleset)
         assert not index.stats().yara_indexed
-        assert [m.rule_name for m in index.match_yara("tiny but >5")] == ["sizey"]
+        assert index.yara_rule_names("tiny but >5") == ["sizey"]
 
     @_slow
     @given(
@@ -494,5 +490,4 @@ class TestRuleIndexParity:
         ruleset = compile_source(builder.to_source())
         index = RuleIndex(yara=ruleset)
         naive = ruleset.match(haystack)
-        indexed = index.match_yara(haystack)
-        assert [m.rule_name for m in naive] == [m.rule_name for m in indexed]
+        assert [m.rule_name for m in naive] == index.yara_rule_names(haystack)

@@ -166,14 +166,6 @@ class TestScanResultCache:
         assert cache.get("a", 1) is not None
         assert cache.stats.evictions == 1
 
-    def test_invalidate_version(self):
-        cache = ScanResultCache()
-        cache.put("a", 1, self._detection())
-        cache.put("b", 1, self._detection())
-        cache.put("a", 2, self._detection())
-        assert cache.invalidate_version(1) == 2
-        assert len(cache) == 1
-
 
 # -- per-rule cost accounting --------------------------------------------------------
 

@@ -229,7 +229,7 @@ def test_try_compile_reports_errors():
 
 def test_scan_target_skips_unparseable_files():
     scan = ScanTarget.from_files("demo", [("bad.py", "def broken(:")])
-    assert scan.files[0].parse_failed
+    assert scan.files[0].tree is None
     ruleset = compile_yaml("""
 rules:
   - id: anything

@@ -250,7 +250,7 @@ def test_concurrent_parses_do_not_corrupt_the_ast_converter():
                 continue
             with count_lock:
                 parsed[0] += 1
-                parsed[1] += sum(f.parse_failed for f in target.files)
+                parsed[1] += sum(f.tree is None for f in target.files)
 
     def churn():
         while time.monotonic() < deadline:

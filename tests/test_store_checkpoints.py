@@ -97,7 +97,6 @@ class TestCheckpointer:
             assert sorted(state.missing) == ["s1"]
             assert state.damaged == []
             assert state.merged_epoch is None
-            assert state.resumable
             checkpoint = state.finished["s0"]
             assert [r.name for r in checkpoint.rule_set.rules] == ["alpha"]
             assert checkpoint.seconds == 0.5

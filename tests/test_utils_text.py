@@ -1,14 +1,6 @@
 """Tests for repro.utils.text."""
 
-from repro.utils.text import (
-    count_loc,
-    dedent_code,
-    indent_block,
-    normalize_whitespace,
-    safe_identifier,
-    split_lines_keepends,
-    truncate_middle,
-)
+from repro.utils.text import count_loc, dedent_code, safe_identifier
 
 
 def test_dedent_code_strips_common_indent_and_leading_blank():
@@ -19,43 +11,6 @@ def test_dedent_code_strips_common_indent_and_leading_blank():
     result = dedent_code(code)
     assert result.startswith("def f():")
     assert "    return 1" in result
-
-
-def test_normalize_whitespace_collapses_runs():
-    assert normalize_whitespace("  a \t b\n\nc  ") == "a b c"
-
-
-def test_truncate_middle_short_text_unchanged():
-    assert truncate_middle("short", 100) == "short"
-
-
-def test_truncate_middle_respects_max_length():
-    text = "x" * 500
-    result = truncate_middle(text, 101)
-    assert len(result) <= 101
-    assert " ... " in result
-
-
-def test_truncate_middle_zero_length():
-    assert truncate_middle("abc", 0) == ""
-
-
-def test_truncate_middle_keeps_head_and_tail():
-    text = "HEAD" + "-" * 200 + "TAIL"
-    result = truncate_middle(text, 60)
-    assert result.startswith("HEAD")
-    assert result.endswith("TAIL")
-
-
-def test_split_lines_keepends_roundtrip():
-    text = "a\nb\r\nc"
-    assert "".join(split_lines_keepends(text)) == text
-
-
-def test_indent_block_skips_blank_lines():
-    block = "a\n\nb"
-    indented = indent_block(block, "  ")
-    assert indented.splitlines() == ["  a", "", "  b"]
 
 
 def test_count_loc_ignores_comments_and_blanks():

@@ -11,7 +11,7 @@ from repro.llm.faults import FaultInjector
 from repro.utils.seeding import DeterministicRandom
 from repro.yarax import YaraCompilationError, compile_source
 from repro.yarax import ast_nodes as ast
-from repro.yarax.compiler import scan_many, try_compile
+from repro.yarax.compiler import try_compile
 from repro.yarax.matcher import CompiledString
 
 
@@ -135,12 +135,6 @@ def test_try_compile_success_and_failure():
     assert ok is not None and err is None
     bad, err = try_compile('rule x { strings: $a = "v" condition: $missing }')
     assert bad is None and "undefined string" in err
-
-
-def test_scan_many_preserves_order():
-    rules = compile_one('rule x { strings: $a = "mark" condition: $a }')
-    results = scan_many(rules, ["no", "mark here", "no"])
-    assert [len(r) for r in results] == [0, 1, 0]
 
 
 def test_extend_rejects_duplicate_names():

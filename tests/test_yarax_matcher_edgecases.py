@@ -57,8 +57,7 @@ class TestNocase:
         assert index.stats().yara_indexed == 1
         for haystack in ("powershell", "POWERSHELL", "PowerShell", "nothing here"):
             naive = [m.rule_name for m in ruleset.match(haystack)]
-            indexed = [m.rule_name for m in index.match_yara(haystack)]
-            assert naive == indexed, haystack
+            assert naive == index.yara_rule_names(haystack), haystack
 
     def test_case_sensitive_rule_prefilter_is_only_a_prefilter(self):
         """The index is case-insensitive; the full evaluation is not."""
@@ -66,8 +65,8 @@ class TestNocase:
         index = RuleIndex(yara=ruleset)
         # 'secret' makes the rule a candidate but full evaluation rejects it
         assert index.candidate_yara_rules("secret stuff")
-        assert index.match_yara("secret stuff") == []
-        assert [m.rule_name for m in index.match_yara("Secret stuff")] == ["r"]
+        assert index.yara_rule_names("secret stuff") == []
+        assert index.yara_rule_names("Secret stuff") == ["r"]
 
 
 class TestOverlappingMatches:
@@ -84,7 +83,8 @@ class TestOverlappingMatches:
             "condition: all of them }"
         )
         matches = ruleset.match("ushers")
-        assert matches and matches[0].matched_identifiers == {"$a", "$b", "$c"}
+        assert matches
+        assert {m.identifier for m in matches[0].string_matches} == {"$a", "$b", "$c"}
 
     def test_overlapping_strings_parity_with_index(self):
         ruleset = compile_source(
@@ -94,10 +94,7 @@ class TestOverlappingMatches:
         )
         index = RuleIndex(yara=ruleset, min_atom_length=2)
         naive = ruleset.match("ushers")
-        indexed = index.match_yara("ushers")
-        assert [m.matched_identifiers for m in naive] == [
-            m.matched_identifiers for m in indexed
-        ]
+        assert [m.rule_name for m in naive] == index.yara_rule_names("ushers") == ["overlap"]
 
     def test_count_of_overlapping_occurrences(self):
         ruleset = compile_source('rule r { strings: $a = "aba" condition: #a >= 2 }')
@@ -145,7 +142,4 @@ def test_property_indexed_scan_identical_to_naive(values, nocase, haystack):
     ruleset = compile_source(builder.to_source())
     index = RuleIndex(yara=ruleset)
     naive = ruleset.match(haystack)
-    indexed = index.match_yara(haystack)
-    assert [(m.rule_name, sorted(m.matched_identifiers)) for m in naive] == [
-        (m.rule_name, sorted(m.matched_identifiers)) for m in indexed
-    ]
+    assert [m.rule_name for m in naive] == index.yara_rule_names(haystack)

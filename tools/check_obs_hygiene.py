@@ -15,6 +15,11 @@ when
   left — the ceiling is a ratchet, so the change that removes timing
   tightens ``ALLOWED`` with it and the ceilings never drift above the code.
 
+A call is an ``ast.Call`` whose function is named ``perf_counter``,
+written as a name (``from time import perf_counter``) or an attribute
+(``time.perf_counter``); the same text inside a string literal, such as
+the source of a generated malware sample, is not a call.
+
 Tests and ``benchmarks/`` are exempt: harnesses measure the system from
 outside and must not route through the thing they are measuring.
 
@@ -25,7 +30,7 @@ Run from the repository root::
 
 from __future__ import annotations
 
-import re
+import ast
 import sys
 from pathlib import Path
 
@@ -34,7 +39,6 @@ ALLOWED = {
     "src/repro/api/orchestrator.py": 4,
     "src/repro/api/session.py": 2,
     "src/repro/arena/runner.py": 2,
-    "src/repro/corpus/behaviors/obfuscation.py": 2,
     "src/repro/evaluation/detector.py": 4,
     "src/repro/scanserve/index.py": 4,
     "src/repro/scanserve/service.py": 6,
@@ -44,7 +48,21 @@ ALLOWED = {
 #: The sanctioned implementation — exempt by definition.
 EXEMPT_PREFIXES = ("src/repro/obs/",)
 
-_PATTERN = re.compile(r"\bperf_counter\s*\(")
+
+def count_calls(source: str) -> int:
+    """Calls of ``perf_counter`` in ``source``, by name or by attribute."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                continue
+            count += name == "perf_counter"
+    return count
 
 
 def check(root: Path) -> int:
@@ -54,7 +72,7 @@ def check(root: Path) -> int:
         rel = path.relative_to(root).as_posix()
         if any(rel.startswith(prefix) for prefix in EXEMPT_PREFIXES):
             continue
-        count = len(_PATTERN.findall(path.read_text(encoding="utf-8")))
+        count = count_calls(path.read_text(encoding="utf-8"))
         if not count:
             continue
         seen.add(rel)
