@@ -201,7 +201,3 @@ def category_of(subcategory: str) -> str:
         if subcategory in subs:
             return category
     raise KeyError(f"unknown subcategory: {subcategory!r}")
-
-
-NUM_CATEGORIES = len(CATEGORIES)
-NUM_SUBCATEGORIES = sum(len(subs) for subs in SUBCATEGORIES.values())

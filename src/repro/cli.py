@@ -9,6 +9,7 @@ Twelve subcommands cover the common workflows:
 
 ``rulellm scan``
     Scan unpacked package directories with a previously generated rule set
+    as one batch of a one-shard in-process :mod:`repro.scanserve` service,
     and print a verdict per package.
 
 ``rulellm evaluate``
@@ -87,7 +88,6 @@ from pathlib import Path
 from repro.core import RuleLLM, RuleLLMConfig
 from repro.core.rules import GeneratedRuleSet
 from repro.corpus import DatasetConfig, build_dataset
-from repro.evaluation.detector import RuleScanner
 from repro.evaluation.experiments import ExperimentSuite
 from repro.extraction.unpacking import load_package_from_directory
 
@@ -645,24 +645,17 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from repro.scanserve import ScanService, ScanServiceConfig
+
     ruleset = GeneratedRuleSet.load(args.rules)
     if not ruleset.rules:
         print(f"no rules found under {args.rules}", file=sys.stderr)
         return 1
-    scanner = RuleScanner(
-        yara_rules=ruleset.compile_yara() if ruleset.yara_rules else None,
-        semgrep_rules=ruleset.compile_semgrep() if ruleset.semgrep_rules else None,
-    )
-    exit_code = 0
-    for target in args.targets:
-        package = load_package_from_directory(target)
-        detection = scanner.scan_package(package)
-        verdict = "MALICIOUS" if detection.match_count else "clean"
-        if detection.match_count:
-            exit_code = 2
-        matched = ", ".join(detection.matched_rules[:5]) or "-"
-        print(f"{target}: {verdict} ({detection.match_count} rules matched: {matched})")
-    return exit_code
+    packages = [load_package_from_directory(target) for target in args.targets]
+    with ScanService(config=ScanServiceConfig(mode="inprocess")) as service:
+        service.publish_generated(ruleset, label=str(args.rules))
+        batch = service.scan_batch(packages)
+    return 2 if _print_verdicts(args.targets, batch) else 0
 
 
 _PACKAGE_MARKER_NAMES = {"PKG-INFO", "METADATA", "setup.py", "setup.cfg", "pyproject.toml"}

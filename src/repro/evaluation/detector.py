@@ -25,6 +25,7 @@ from repro.corpus.package import Package
 from repro.evaluation.metrics import ConfusionMatrix
 from repro.extraction.metadata import extract_metadata
 from repro.semgrepx import CompiledSemgrepRuleSet, ScanTarget
+from repro.semgrepx.matcher import ParseMemo
 from repro.utils.hashing import stable_digest
 from repro.yarax import CompiledRuleSet
 
@@ -35,10 +36,13 @@ class PreparedPackage:
     Building the YARA haystack re-serialises the registry metadata and the
     Semgrep target re-parses every Python file; doing that once per package
     (instead of once per package *per rule set*) is the detector hot-path fix.
+    The target is built through ``parses`` when it is set; a pickled package
+    drops it, because a memo belongs to one service.
     """
 
-    def __init__(self, package: Package) -> None:
+    def __init__(self, package: Package, parses: Optional[ParseMemo] = None) -> None:
         self.package = package
+        self.parses = parses
         self._yara_text: Optional[str] = None
         self._folded_text: Optional[str] = None
         self._folded_bytes: Optional[bytes] = None
@@ -88,7 +92,7 @@ class PreparedPackage:
     def target(self) -> ScanTarget:
         """The parsed Semgrep scan target."""
         if self._target is None:
-            self._target = ScanTarget.from_package(self.package)
+            self._target = ScanTarget.from_package(self.package, self.parses)
         return self._target
 
     @property
@@ -107,15 +111,27 @@ class PreparedPackage:
             self._fingerprint = stable_digest("\x00".join(parts))
         return self._fingerprint
 
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "parses": None}
+
 
 def prepare_packages(
     packages: Iterable[Union[Package, PreparedPackage]],
+    parses: Optional[ParseMemo] = None,
 ) -> list[PreparedPackage]:
-    """Prepare a whole corpus for repeated scanning (prepared packages pass
-    through unchanged)."""
-    return [
-        p if isinstance(p, PreparedPackage) else PreparedPackage(p) for p in packages
-    ]
+    """Prepare a whole corpus for repeated scanning.
+
+    Prepared packages pass through; with ``parses`` given, those whose
+    target is not built yet will build it through that memo.
+    """
+    prepared: list[PreparedPackage] = []
+    for p in packages:
+        if not isinstance(p, PreparedPackage):
+            p = PreparedPackage(p, parses)
+        elif parses is not None and p._target is None:
+            p.parses = parses
+        prepared.append(p)
+    return prepared
 
 
 @dataclass
@@ -172,7 +188,8 @@ class RuleScanner:
     When ``index`` is given (a :class:`repro.scanserve.RuleIndex` built over
     the same rule sets) matching is delegated to it: the index prefilters
     rules by literal atoms and only fully evaluates candidates, producing
-    identical detections much faster on large rule sets.
+    identical detections much faster on large rule sets.  When ``parses``
+    is given, Semgrep targets are built through that memo.
     """
 
     def __init__(
@@ -181,6 +198,7 @@ class RuleScanner:
         semgrep_rules: CompiledSemgrepRuleSet | None = None,
         match_threshold: int = 1,
         index: "object | None" = None,
+        parses: Optional[ParseMemo] = None,
     ) -> None:
         if yara_rules is None and semgrep_rules is None:
             raise ValueError("RuleScanner needs at least one rule set")
@@ -188,6 +206,7 @@ class RuleScanner:
         self.semgrep_rules = semgrep_rules
         self.match_threshold = match_threshold
         self.index = index
+        self.parses = parses
 
     @classmethod
     def with_index(
@@ -218,7 +237,7 @@ class RuleScanner:
         evaluation timings without changing the detections."""
         if self.index is not None:
             return self.scan_prepared([package], cost_sink=cost_sink)[0]
-        [prepared] = prepare_packages([package])
+        [prepared] = prepare_packages([package], self.parses)
         detection = PackageDetection(
             package=prepared.package.identifier,
             actual_malicious=prepared.package.is_malicious,
@@ -268,7 +287,7 @@ class RuleScanner:
         candidate evaluation then reuses the precomputed folded haystacks
         and hit sets.  Without one, each package is scanned naively.
         """
-        prepared_list = prepare_packages(packages)
+        prepared_list = prepare_packages(packages, self.parses)
         if self.index is None:
             return [self.scan_package(p, cost_sink=cost_sink) for p in prepared_list]
         detections = [

@@ -17,6 +17,15 @@ under any other start method each worker decodes one
 ``RulesetVersion.to_bytes()`` blob.  :meth:`ScanService.close` (or leaving a
 ``with ScanService(...)`` block) shuts the pool down.
 
+A service also keeps one :class:`~repro.semgrepx.matcher.ParseMemo`, the
+parsed Python files of its scans keyed by their exact text, and its workers
+build Semgrep targets through it: a file that repeats one the service still
+holds reuses that parse, its tree index and the findings each compiled rule
+already produced on it.  Entries are held weakly, so the memo reaches the
+packages the current batch and the recency ring hold, and no others.
+``fork`` workers inherit it through the pool's ``initargs``; under other
+start methods it pickles empty.
+
 The service also keeps a bounded **recency ring** of the package
 fingerprints it scanned most recently.  Subscribed to its registry's event
 bus (``ScanServiceConfig(live_rescan=True)`` or
@@ -61,6 +70,7 @@ from repro.scanserve.scheduler import (
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer, remote_span_record
 from repro.scanserve.telemetry import RuleCost, RuleCostSample, RuleCostTracker
+from repro.semgrepx.matcher import ParseMemo
 
 _METRICS = get_registry()
 _SCAN_BATCHES = _METRICS.counter(
@@ -118,13 +128,17 @@ class _WorkerRuleset(tuple):
         return bytes, (self.blob,)
 
 
-def _worker_init(ruleset, match_threshold: int) -> None:
+def _worker_init(
+    ruleset, match_threshold: int, parses: Optional[ParseMemo] = None
+) -> None:
     """Attach this worker to a published ruleset.
 
     ``ruleset`` is the live ``(yara, semgrep, index)`` tuple (in-process,
     or inherited by a ``fork`` worker) or a :meth:`RulesetVersion.to_bytes`
     blob, which attaches the worker to the publish-time compiled rules
-    *and packed index* without re-deriving anything.
+    *and packed index* without re-deriving anything.  ``parses`` is the
+    service's parse memo, which the worker's Semgrep targets are built
+    through.
     """
     if isinstance(ruleset, bytes):
         version = RulesetVersion.from_bytes(ruleset)
@@ -136,6 +150,7 @@ def _worker_init(ruleset, match_threshold: int) -> None:
         semgrep_rules=semgrep,
         match_threshold=match_threshold,
         index=index,
+        parses=parses,
     )
 
 
@@ -353,6 +368,7 @@ class ScanService:
         self._scheduler = ScanScheduler(
             mode=self.config.mode, max_workers=max(1, self.config.shards)
         )
+        self.parses = ParseMemo()
         if self.config.live_rescan:
             self.enable_live_rescan()  # raises when the cache is disabled
 
@@ -470,6 +486,7 @@ class ScanService:
                     init_args=(
                         _WorkerRuleset(ruleset, self.config.use_index),
                         self.config.match_threshold,
+                        self.parses,
                     ),
                     key=ruleset.version,
                 )

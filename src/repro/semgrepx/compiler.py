@@ -10,12 +10,13 @@ message text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.semgrepx.errors import SemgrepPatternError, SemgrepRuleError
 from repro.semgrepx.loader import load_rules_yaml
-from repro.semgrepx.matcher import ParsedFile, ScanTarget, SemgrepFinding
+from repro.semgrepx.matcher import ParsedFile, ParsedSource, ScanTarget, SemgrepFinding
 from repro.semgrepx.pattern import Pattern
 from repro.semgrepx.rule import SemgrepRule
 
@@ -26,8 +27,13 @@ class CompiledSemgrepRule:
 
     The ``pattern-regex`` (``rule.pattern_regex``) compiles into its slot
     when :func:`compile_rule` validates it, or else on the first
-    :meth:`_match_file`.  Pickling carries only its source, so decoding a
+    :meth:`_scan_file`.  Pickling carries only its source, so decoding a
     version blob compiles no Semgrep regex.
+
+    ``_found`` holds the rule's findings per parsed text, keyed weakly by the
+    text's :class:`~repro.semgrepx.matcher.ParsedSource` entry: they live
+    while both the rule and the entry do, and a later rule that reuses this
+    rule's id never reads them.  Pickling drops them.
     """
 
     rule: SemgrepRule
@@ -36,6 +42,9 @@ class CompiledSemgrepRule:
     not_patterns: list[Pattern] = field(default_factory=list)
     _anchors: set[str] = field(default_factory=set)
     _regex: re.Pattern[str] | None = field(default=None, repr=False, compare=False)
+    _found: "weakref.WeakKeyDictionary[ParsedSource, tuple[SemgrepFinding, ...]]" = field(
+        default_factory=weakref.WeakKeyDictionary, repr=False, compare=False
+    )
 
     @property
     def id(self) -> str:
@@ -49,12 +58,14 @@ class CompiledSemgrepRule:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         del state["_regex"]
+        del state["_found"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         # the layout before lazy compilation kept the compiled pattern under
         # ``regex``; the unpickler has already compiled it
         self._regex = state.pop("regex", None)
+        self._found = weakref.WeakKeyDictionary()
         self.__dict__.update(state)
 
     def _compiled_regex(self) -> re.Pattern[str]:
@@ -76,7 +87,18 @@ class CompiledSemgrepRule:
                 break
         return findings[:max_findings]
 
-    def _match_file(self, parsed: ParsedFile) -> list[SemgrepFinding]:
+    def _match_file(self, parsed: ParsedFile) -> tuple[SemgrepFinding, ...]:
+        """This rule's findings in one file, matched once per parsed text;
+        a file that shares the entry gets them with its own path."""
+        findings = self._found.get(parsed.entry)
+        if findings is None:
+            # threads that race here store equal findings; either may stay
+            findings = self._found[parsed.entry] = tuple(self._scan_file(parsed))
+        elif findings and findings[0].path != parsed.path:
+            findings = tuple(replace(finding, path=parsed.path) for finding in findings)
+        return findings
+
+    def _scan_file(self, parsed: ParsedFile) -> list[SemgrepFinding]:
         findings: list[SemgrepFinding] = []
         path = parsed.path
 

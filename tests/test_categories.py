@@ -4,8 +4,6 @@ import pytest
 
 from repro.categories import (
     CATEGORIES,
-    NUM_CATEGORIES,
-    NUM_SUBCATEGORIES,
     PAPER_TABLE_XII_COUNTS,
     SUBCATEGORIES,
     TaxonomyLabel,
@@ -14,8 +12,8 @@ from repro.categories import (
 
 
 def test_eleven_categories_and_thirty_eight_subcategories():
-    assert NUM_CATEGORIES == 11
-    assert NUM_SUBCATEGORIES == 38
+    assert len(CATEGORIES) == 11
+    assert sum(len(subs) for subs in SUBCATEGORIES.values()) == 38
 
 
 def test_every_category_has_subcategories():

@@ -88,6 +88,29 @@ class TestScanCli:
         assert exit_code == 2
         assert "MALICIOUS" in capsys.readouterr().out
 
+    def test_scan_clean_package_exits_zero(self, rules_dir, corpus_dir, capsys):
+        target = str(corpus_dir / "nice-pkg")
+        assert cli_main(["scan", "--rules", str(rules_dir), target]) == 0
+        assert capsys.readouterr().out == f"{target}: clean (0 rules matched: -)\n"
+
+    def test_scan_verdict_lines_equal_scan_batch(self, rules_dir, corpus_dir, capsys):
+        targets = [str(corpus_dir / "evil-pkg"), str(corpus_dir / "nice-pkg")]
+        assert cli_main(["scan", "--rules", str(rules_dir), *targets]) == 2
+        scan_lines = capsys.readouterr().out.splitlines()
+        assert cli_main(
+            ["scan-batch", "--rules", str(rules_dir), "--mode", "inprocess", *targets]
+        ) == 2
+        batch_lines = capsys.readouterr().out.splitlines()
+        assert len(scan_lines) == 2
+        assert scan_lines == [
+            line for line in batch_lines if line.startswith(tuple(targets))
+        ]
+
+    def test_scan_without_rules_exits_one(self, corpus_dir, tmp_path):
+        empty = tmp_path / "no-rules"
+        empty.mkdir()
+        assert cli_main(["scan", "--rules", str(empty), str(corpus_dir / "evil-pkg")]) == 1
+
     def test_scan_batch_over_generated_rules(
         self, rules_dir, corpus_dir, tmp_path, capsys
     ):

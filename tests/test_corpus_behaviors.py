@@ -4,7 +4,7 @@ import ast
 
 import pytest
 
-from repro.categories import NUM_SUBCATEGORIES, SUBCATEGORIES, METADATA_RELATED
+from repro.categories import SUBCATEGORIES, METADATA_RELATED
 from repro.corpus.behaviors import default_registry
 from repro.corpus.behaviors.base import Behavior
 from repro.utils.seeding import DeterministicRandom
@@ -80,4 +80,4 @@ def test_setup_code_behaviors_provide_setup_snippets():
 
 def test_registry_covers_all_38_subcategories_exactly_once_each_at_minimum():
     covered = {behavior.subcategory for behavior in REGISTRY.all()}
-    assert len(covered) == NUM_SUBCATEGORIES
+    assert len(covered) == sum(len(subs) for subs in SUBCATEGORIES.values())

@@ -4,6 +4,7 @@ import gc
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -12,10 +13,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.corpus.package import Package, PackageFile, PackageMetadata
-from repro.evaluation.detector import PackageDetection, RuleScanner
+from repro.evaluation.detector import PackageDetection, PreparedPackage, RuleScanner
 from repro.obs import get_registry
 from repro.scanserve import (
     BoundedQueue,
@@ -29,6 +32,8 @@ from repro.scanserve import (
     ScanServiceConfig,
     chunk_items,
 )
+from repro.semgrepx import SemgrepRule, compile_rules
+from repro.semgrepx.matcher import ParseMemo
 from repro.yarax import compile_source
 
 
@@ -822,6 +827,214 @@ class TestIndexedRuleScanner:
             a = naive.scan_package(package)
             b = indexed.scan_package(package)
             assert (a.yara_rules, a.semgrep_rules) == (b.yara_rules, b.semgrep_rules)
+
+
+# -- parse memo ---------------------------------------------------------------------
+
+_MEMO_PATHS = ("setup.py", "pkg/__init__.py", "pkg/core.py", "src/util.py", "run.py")
+
+
+@pytest.fixture(scope="module")
+def memo_registry(generated_rules):
+    """The session rules, published once for the services below."""
+    registry = RulesetRegistry()
+    registry.publish_generated(generated_rules, label="session rules")
+    return registry
+
+
+@pytest.fixture(scope="module")
+def text_pool(small_dataset, memo_registry):
+    """Ten file texts: six that fire a Semgrep rule on their own, three that
+    fire none and one that does not parse."""
+    naive = _naive(memo_registry)
+    firing: list[str] = []
+    quiet: list[str] = []
+    for package in small_dataset.malware + small_dataset.benign:
+        for file in package.files:
+            if file.is_python and file.content not in firing + quiet:
+                alone = _memo_package("probe", [("setup.py", file.content)])
+                fired = naive.scan_package(alone).semgrep_rules
+                (firing if fired else quiet).append(file.content)
+    return firing[:6] + quiet[-3:] + ["def broken(:\n"]
+
+
+def _memo_package(name: str, files) -> Package:
+    return Package(
+        name=name,
+        version="1.0",
+        metadata=PackageMetadata(name=name),
+        files=[PackageFile(path, content) for path, content in files],
+    )
+
+
+def _engines(detections) -> list:
+    return [(d.package, d.yara_rules, d.semgrep_rules) for d in detections]
+
+
+def _naive(registry) -> RuleScanner:
+    version = registry.current()
+    return RuleScanner(yara_rules=version.yara, semgrep_rules=version.semgrep)
+
+
+# one package: up to four files, each a pool text (by position) under a path
+_layouts = st.lists(
+    st.lists(
+        st.tuples(st.sampled_from(_MEMO_PATHS), st.integers(0, 9)),
+        min_size=1, max_size=4, unique_by=lambda file: file[0],
+    ),
+    min_size=1, max_size=10,
+)
+
+_SHELL_RULE = SemgrepRule(id="dup", message="m", pattern="os.system($X)")
+_EVAL_RULE = SemgrepRule(id="dup", message="m", pattern="eval($X)")
+
+
+class TestParseMemo:
+    """A service parses and matches each distinct text once while some
+    package it holds carries the text, with naive detections."""
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(layouts=_layouts, cuts=st.lists(st.integers(1, 9), max_size=3),
+           window=st.sampled_from([0, 2, 256]))
+    def test_memo_scans_equal_naive_scans(
+        self, memo_registry, text_pool, layouts, cuts, window
+    ):
+        packages = [
+            _memo_package(f"memo-{i}", [(path, text_pool[t]) for path, t in layout])
+            for i, layout in enumerate(layouts)
+        ]
+        bounds = sorted({0, len(packages), *(c for c in cuts if c < len(packages))})
+        scanned = []
+        with ScanService(
+            registry=memo_registry,
+            config=ScanServiceConfig(mode="inprocess", recency_window=window),
+        ) as service:
+            for start, end in zip(bounds, bounds[1:]):
+                scanned.extend(service.scan_batch(packages[start:end]).detections)
+        assert _engines(scanned) == _engines(_naive(memo_registry).scan_prepared(packages))
+
+    def test_the_pool_fires_semgrep_rules(self, memo_registry, text_pool):
+        # so the parity property compares findings, not empty lists
+        packages = [_memo_package(f"t{i}", [("a.py", t)]) for i, t in enumerate(text_pool)]
+        fired = [bool(d.semgrep_rules) for d in _naive(memo_registry).scan_prepared(packages)]
+        assert fired == [True] * 6 + [False] * 4
+
+    def test_a_reused_rule_id_never_reads_another_rules_findings(self):
+        shell = "import os\nos.system(cmd)\nprint(eval)\n"
+        evaluate = "eval(payload)\nprint(os.system)\n"
+
+        def packages(tag):
+            return [
+                _memo_package(f"{tag}-shell", [("setup.py", shell)]),
+                _memo_package(f"{tag}-eval", [("run.py", evaluate)]),
+            ]
+
+        with ScanService(config=ScanServiceConfig(mode="inprocess")) as service:
+            service.publish(semgrep=compile_rules([_SHELL_RULE]), label="v1")
+            first = service.scan_batch(packages("a"))
+            assert [d.semgrep_rules for d in first.detections] == [["dup"], []]
+            service.publish(semgrep=compile_rules([_EVAL_RULE]), label="v2")
+            second = service.scan_batch(packages("b"))
+            assert len(service.parses) == 2  # v2 reused v1's parses
+        assert [d.semgrep_rules for d in second.detections] == [[], ["dup"]]
+
+    def test_threads_scan_overlapping_packages_through_one_memo(
+        self, memo_registry, text_pool
+    ):
+        def packages(tag, paths):
+            return [
+                _memo_package(
+                    f"{tag}-{i}",
+                    [(path, text_pool[(i + k) % 10]) for k, path in enumerate(paths)],
+                )
+                for i in range(10)
+            ]
+
+        # three threads on a two-core host, each under its own paths
+        batches = {"left": packages("left", _MEMO_PATHS[:3]),
+                   "middle": packages("middle", _MEMO_PATHS[1:4]),
+                   "right": packages("right", _MEMO_PATHS[2:])}
+        naive = _naive(memo_registry)
+        expected = {tag: _engines(naive.scan_prepared(b)) for tag, b in batches.items()}
+        wrong: list = []
+        with ScanService(
+            registry=memo_registry,
+            config=ScanServiceConfig(mode="inprocess", enable_cache=False),
+        ) as service:
+
+            def scan(tag):
+                for _ in range(5):
+                    if _engines(service.scan_batch(batches[tag]).detections) != expected[tag]:
+                        wrong.append(tag)
+
+            threads = [threading.Thread(target=scan, args=(tag,)) for tag in batches]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_memo_holds_only_texts_of_the_recency_ring(self):
+        rules = compile_rules([_SHELL_RULE])
+        packages = [
+            _memo_package(f"ring-{i}", [
+                ("setup.py", f"import os\nos.system('c{i}')\n"),
+                ("util.py", f"x = {i % 3}\n"),
+            ])
+            for i in range(8)
+        ]
+        with ScanService(
+            config=ScanServiceConfig(mode="inprocess", recency_window=0)
+        ) as service:
+            service.publish(semgrep=rules)
+            service.scan_batch(packages[:4])
+            gc.collect()
+            assert len(service.parses) == 0
+        by_fingerprint = {PreparedPackage(p).fingerprint: p for p in packages}
+        with ScanService(
+            config=ScanServiceConfig(mode="inprocess", recency_window=3)
+        ) as service:
+            service.publish(semgrep=rules)
+            for start in range(0, len(packages), 2):
+                service.scan_batch(packages[start:start + 2])
+                gc.collect()
+                ring = [by_fingerprint[f] for f in service.recency_window]
+                held = {f.content for p in ring for f in p.files if f.is_python}
+                assert 0 < len(service.parses) <= len(held)
+
+    def test_process_shards_scan_through_their_inherited_memo(
+        self, memo_registry, text_pool
+    ):
+        packages = [
+            _memo_package(f"proc-{i}", [("setup.py", text_pool[i % 4]),
+                                        ("run.py", text_pool[(i + 1) % 4])])
+            for i in range(8)
+        ]
+        expected = _engines(_naive(memo_registry).scan_prepared(packages))
+        with ScanService(
+            registry=memo_registry,
+            config=ScanServiceConfig(shards=2, mode="process", enable_cache=False),
+        ) as service:
+            for _ in range(2):
+                batch = service.scan_batch(packages)
+                assert batch.mode == "process"
+                assert _engines(batch.detections) == expected
+
+    def test_pickled_prepared_packages_carry_no_memo(self, text_pool):
+        memo = ParseMemo()
+        prepared = PreparedPackage(_memo_package("p", [("setup.py", text_pool[0])]), memo)
+        entry = prepared.target.files[0].entry
+        restored = pickle.loads(pickle.dumps(prepared))
+        assert restored.parses is None
+        assert restored.target.files[0].entry is not entry
+        assert len(memo) == 1
 
 
 # -- CLI ----------------------------------------------------------------------------

@@ -1,25 +1,31 @@
-"""Parity of indexed Semgrep matching with a whole-tree walk, and thread-safe parsing.
+"""Parity of indexed Semgrep matching with a whole-tree walk, thread-safe
+parsing, and the parse memo.
 
 ``Pattern.match_tree`` visits only the ``TreeIndex`` group a pattern's root
 can match.  The reference below walks every node of the tree for every
 pattern, as the engine once did; both must give the same matches in the same
-order, including where ``max_matches`` cuts the list.
+order, including where ``max_matches`` cuts the list.  Targets built through
+a ``ParseMemo`` share one parse and one set of per-rule findings per
+distinct text; their findings must equal a fresh target's, paths included.
 """
 
 from __future__ import annotations
 
 import ast
+import gc
 import pickle
 import sys
 import threading
 import time
+import weakref
 from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.scanserve import RuleIndex
 from repro.semgrepx import Pattern, ScanTarget, SemgrepRule, compile_rules
-from repro.semgrepx.matcher import ParsedFile
+from repro.semgrepx.matcher import ParsedFile, ParseMemo
 from repro.semgrepx.pattern import MatchResult, TreeIndex
 
 
@@ -211,9 +217,99 @@ def test_parsed_file_index_is_built_once_and_not_pickled():
     parsed = target.parsed_files[0]
     assert target.parsed_files is target.parsed_files
     assert parsed.index is parsed.index
+    assert parsed.entry._index is parsed.index  # the index lives on the entry
     restored = pickle.loads(pickle.dumps(parsed))
-    assert restored._index is None
+    assert restored.entry is not parsed.entry
+    assert restored.entry._index is None
     assert [n.lineno for n in restored.index.calls_by_callee["system"]] == [1]
+
+
+# -- the parse memo -------------------------------------------------------------------
+
+_SHELL = "import os\nos.system(cmd)\nprint(eval)\n"
+_EVAL = "x = 1\neval(payload)\nprint(os.system)\n"
+
+
+def _shell_and_eval_rules():
+    return compile_rules([
+        SemgrepRule(id="shell", message="m", pattern="os.system($X)"),
+        SemgrepRule(id="eval", message="m", pattern="eval($X)"),
+        SemgrepRule(id="both", message="m", pattern_either=[
+            {"pattern": "os.system($X)"}, {"pattern": "eval($X)"}]),
+    ])
+
+
+def test_memo_targets_share_entries_and_restamp_paths():
+    ruleset = _shell_and_eval_rules()
+    index = RuleIndex(semgrep=ruleset)
+    memo = ParseMemo()
+    first = ScanTarget.from_files("a", [("a/setup.py", _SHELL), ("a/x.py", _EVAL)], memo)
+    assert index.match_semgrep(first)  # the entries now hold every rule's findings
+    files = [("b/run.py", _EVAL), ("b/main.py", _SHELL), ("b/bad.py", "def broken(:")]
+    second = ScanTarget.from_files("b", files, memo)
+    assert second.files[0].entry is first.files[1].entry
+    assert second.files[1].entry is first.files[0].entry
+    assert len(memo) == 3
+    expected = index.match_semgrep(ScanTarget.from_files("b", files))
+    assert index.match_semgrep(second) == expected
+    assert {finding.path for finding in expected} == {"b/run.py", "b/main.py"}
+    # the first occurrence still reads its own paths
+    assert index.match_semgrep(first) == index.match_semgrep(
+        ScanTarget.from_files("a", [("a/setup.py", _SHELL), ("a/x.py", _EVAL)])
+    )
+
+
+def test_memo_keeps_the_findings_cap_of_a_target():
+    texts = [f"os.system(a{i})\n" + "pass\n" * i + "eval(b)\n" for i in range(3)]
+    files = [(f"pkg/m{i}.py", texts[i % 3]) for i in range(30)]
+    rule = _shell_and_eval_rules().rule("both")
+    memo = ParseMemo()
+    ScanTarget.from_files("warm", [("w.py", text) for text in texts], memo)
+    target = ScanTarget.from_files("t", files, memo)
+    assert len(memo) == 3
+    found = rule.match_target(target)
+    assert len(found) == 50
+    assert found == rule.match_target(ScanTarget.from_files("t", files))
+    lines = {text: [1, text.count("\n")] for text in texts}
+    assert [(f.path, f.line) for f in found] == [
+        (path, line) for path, text in files for line in lines[text]
+    ][:50]
+
+
+def test_memo_pickles_empty_and_pickled_files_carry_no_entry():
+    ruleset = _shell_and_eval_rules()
+    memo = ParseMemo()
+    target = ScanTarget.from_files("t", [("s.py", _SHELL), ("e.py", _EVAL)], memo)
+    findings = ruleset.match_target(target)
+    assert len(memo) == 2 and findings
+    assert len(pickle.loads(pickle.dumps(memo))) == 0
+    restored = pickle.loads(pickle.dumps(target))
+    for before, after in zip(target.files, restored.files):
+        assert (after.path, after.source) == (before.path, before.source)
+        assert after.entry is not before.entry and after.entry._index is None
+    assert ruleset.match_target(restored) == findings
+    # a pickled rule carries none of the findings it holds
+    assert len(ruleset.rules[0]._found) == 4
+    assert len(pickle.loads(pickle.dumps(ruleset.rules[0]))._found) == 0
+
+
+def test_findings_keep_neither_their_rule_nor_their_entry_alive():
+    ruleset = _shell_and_eval_rules()
+    memo = ParseMemo()
+    target = ScanTarget.from_files("t", [("s.py", _SHELL), ("e.py", _EVAL)], memo)
+    assert ruleset.match_target(target)
+    assert [len(rule._found) for rule in ruleset] == [2, 2, 2]
+    del target
+    gc.collect()
+    assert len(memo) == 0
+    assert [len(rule._found) for rule in ruleset] == [0, 0, 0]
+    # a target that outlives a rule set does not keep its rules alive
+    target = ScanTarget.from_files("t", [("s.py", _SHELL)])
+    assert ruleset.match_target(target)
+    rules = [weakref.ref(rule) for rule in ruleset]
+    del ruleset
+    gc.collect()
+    assert [rule() for rule in rules] == [None, None, None]
 
 
 # -- concurrent parsing --------------------------------------------------------------
@@ -271,3 +367,37 @@ def test_concurrent_parses_do_not_corrupt_the_ast_converter():
     assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors[:3]
     assert parsed[0] > 0 and parsed[1] == 0
+
+
+def test_threads_sharing_a_memo_get_one_entry_per_text():
+    # every target stays alive, so the first entry inserted for a text is
+    # the one every later lookup of that text must return
+    texts = [f"def fn{i}(a):\n    return g(a, {i})\n" * 20 for i in range(8)]
+    memo = ParseMemo()
+    targets: list[ScanTarget] = []
+    deadline = time.monotonic() + 1.0
+
+    def build(offset):
+        while time.monotonic() < deadline:
+            files = [(f"m{offset}_{i}.py", texts[(i + offset) % 8]) for i in range(8)]
+            targets.append(ScanTarget.from_files("t", files, memo))
+
+    threads = [threading.Thread(target=build, args=(n,), daemon=True) for n in range(4)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    entries: dict[str, set[int]] = {}
+    for target in targets:
+        for file in target.files:
+            entries.setdefault(file.source, set()).add(id(file.entry))
+    assert {len(ids) for ids in entries.values()} == {1} and len(memo) == 8
+    for target in targets[:4]:
+        for file in target.files:
+            assert ast.dump(file.tree) == ast.dump(ast.parse(file.source))
