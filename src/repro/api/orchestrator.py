@@ -340,7 +340,6 @@ class GenerationOrchestrator:
                 profile=get_profile(self.config.model), seed=self.config.seed
             )
         )
-        self.results: list[FleetResult] = []
         #: A :class:`repro.store.RuleStore` makes every shard completion a
         #: durable checkpoint and enables ``run(..., resume=True)``.
         self.store = store
@@ -492,7 +491,6 @@ class GenerationOrchestrator:
                 cache_key=fleet.version.cache_key if fleet.version else "",
             )
         fleet.elapsed_seconds = time.perf_counter() - started
-        self.results.append(fleet)
         return fleet
 
     def _run_shards(

@@ -119,7 +119,6 @@ class GenerationSession:
         self._feed_lock = threading.Lock()  # keeps _pending/_batch_sizes coherent
         self._pending: list[Package] = []
         self._batch_sizes: list[int] = []
-        self.results: list[SessionResult] = []
 
     # -- feeding --------------------------------------------------------------------
     @property
@@ -243,7 +242,7 @@ class GenerationSession:
             version = self.registry.publish_generated(
                 context.rule_set, label=label or self.label
             )
-        result = SessionResult(
+        return SessionResult(
             rule_set=context.rule_set,
             version=version,
             info=context.info,
@@ -251,5 +250,3 @@ class GenerationSession:
             batch_sizes=list(batch_sizes),
             shard_label=self.shard_label,
         )
-        self.results.append(result)
-        return result

@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from repro.core import RuleLLM, RuleLLMConfig
@@ -968,17 +969,7 @@ def _cmd_obs(args) -> int:
 
 
 def _cmd_orchestrate(args) -> int:
-    import json as json_module
-
-    from repro.api import (
-        BehaviorShardPlan,
-        ClusterShardPlan,
-        GenerationOrchestrator,
-        GenerationSession,
-        RoundRobinShardPlan,
-        ScanService,
-        ScanServiceConfig,
-    )
+    from repro.api import ScanService, ScanServiceConfig
 
     if args.trace:
         from repro.obs import configure_tracing
@@ -991,35 +982,54 @@ def _cmd_orchestrate(args) -> int:
         return 1
     malware, scan_targets, _package_dirs = loaded
 
+    # the service (subscribed to the registry) and the store close on every
+    # exit path, the service first
+    with ExitStack() as resources:
+        store = None
+        registry = None
+        recovery = None
+        if args.store:
+            from repro.scanserve import RulesetRegistry
+            from repro.store import open_store
+
+            store, recovery = open_store(
+                args.store, durable=not args.no_durable_store
+            )
+            resources.enter_context(store)
+            print(recovery.describe())
+            registry = RulesetRegistry.from_store(store)
+            if registry.versions():
+                print(f"recovered registry: {len(registry.versions())} version(s), "
+                      f"active v{registry.current_version()}")
+        service = resources.enter_context(ScanService(
+            registry=registry,
+            config=ScanServiceConfig(
+                mode="inprocess",
+                match_threshold=max(1, args.threshold),
+                live_rescan=True,
+            )
+        ))
+        return _orchestrate(args, malware, scan_targets, service, store, recovery)
+
+
+def _orchestrate(args, malware, scan_targets, service, store, recovery) -> int:
+    """`rulellm orchestrate` on an open service (and store, if any)."""
+    import json as json_module
+
+    from repro.api import (
+        BehaviorShardPlan,
+        ClusterShardPlan,
+        GenerationOrchestrator,
+        GenerationSession,
+        RoundRobinShardPlan,
+    )
+
     shards = max(1, args.shards)
     plans = {
         "cluster": lambda: ClusterShardPlan(shards),
         "behavior": lambda: BehaviorShardPlan(max_shards=shards),
         "round-robin": lambda: RoundRobinShardPlan(shards),
     }
-    store = None
-    registry = None
-    recovery = None
-    if args.store:
-        from repro.scanserve import RulesetRegistry
-        from repro.store import open_store
-
-        store, recovery = open_store(
-            args.store, durable=not args.no_durable_store
-        )
-        print(recovery.describe())
-        registry = RulesetRegistry.from_store(store)
-        if registry.versions():
-            print(f"recovered registry: {len(registry.versions())} version(s), "
-                  f"active v{registry.current_version()}")
-    service = ScanService(
-        registry=registry,
-        config=ScanServiceConfig(
-            mode="inprocess",
-            match_threshold=max(1, args.threshold),
-            live_rescan=True,
-        )
-    )
     config = RuleLLMConfig.full(model=args.model, seed=args.seed)
 
     baseline_count = min(len(malware), max(0, round(len(malware) * args.baseline)))
@@ -1112,7 +1122,6 @@ def _cmd_orchestrate(args) -> int:
         print(f"wrote report to {args.json}")
     if store is not None:
         service.registry.snapshot()  # fold the run into one recovery point
-        store.close()
     return 0
 
 
@@ -1460,10 +1469,37 @@ def _arena_show(args) -> int:
 
 
 def _cmd_arena(args) -> int:
-    import json as json_module
-
     if args.arena_command in ("leaderboard", "history"):
         return _arena_show(args)
+
+    from repro.scanserve import ScanService, ScanServiceConfig
+
+    dataset = build_dataset(DatasetConfig(scale=args.scale, seed=args.seed))
+    print(f"corpus: {len(dataset.malware)} malicious, "
+          f"{len(dataset.benign)} benign packages")
+
+    # the service and the store close on every exit path, the service first
+    with ExitStack() as resources:
+        store = None
+        registry = None
+        if args.store:
+            from repro.scanserve import RulesetRegistry
+            from repro.store import open_store
+
+            store, recovery = open_store(args.store)
+            resources.enter_context(store)
+            print(recovery.describe())
+            registry = RulesetRegistry.from_store(store)
+        service = resources.enter_context(ScanService(
+            registry=registry,
+            config=ScanServiceConfig(mode="inprocess", match_threshold=1)
+        ))
+        return _arena_run(args, dataset, service, store)
+
+
+def _arena_run(args, dataset, service, store) -> int:
+    """`rulellm arena run` on an open service (and store, if any)."""
+    import json as json_module
 
     from repro.api import GenerationSession
     from repro.arena import (
@@ -1473,25 +1509,7 @@ def _cmd_arena(args) -> int:
         ReplayTraffic,
         TrafficConfig,
     )
-    from repro.scanserve import ScanService, ScanServiceConfig
 
-    dataset = build_dataset(DatasetConfig(scale=args.scale, seed=args.seed))
-    print(f"corpus: {len(dataset.malware)} malicious, "
-          f"{len(dataset.benign)} benign packages")
-
-    store = None
-    registry = None
-    if args.store:
-        from repro.scanserve import RulesetRegistry
-        from repro.store import open_store
-
-        store, recovery = open_store(args.store)
-        print(recovery.describe())
-        registry = RulesetRegistry.from_store(store)
-    service = ScanService(
-        registry=registry,
-        config=ScanServiceConfig(mode="inprocess", match_threshold=1)
-    )
     session = GenerationSession(
         config=RuleLLMConfig.full(model=args.model, seed=args.seed),
         registry=service.registry,
@@ -1561,7 +1579,6 @@ def _cmd_arena(args) -> int:
         print(f"wrote {args.json}")
     if store is not None:
         service.registry.snapshot()  # fold the run into one recovery point
-        store.close()
     return 0
 
 

@@ -39,21 +39,8 @@ from repro.llm.simulated import SimulatedAnalystLLM
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import GenerationSession
-    from repro.api.stages import PipelineRunInfo
 
-__all__ = ["PipelineRunInfo", "RuleLLM"]
-
-
-def __getattr__(name: str):
-    # PipelineRunInfo historically lived here; it moved to repro.api.stages,
-    # which this module can only import lazily (the api layer imports the
-    # core stage modules, and importing any repro.core submodule runs the
-    # package __init__, which imports this module)
-    if name == "PipelineRunInfo":
-        from repro.api.stages import PipelineRunInfo
-
-        return PipelineRunInfo
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["RuleLLM"]
 
 
 class RuleLLM:
@@ -61,8 +48,6 @@ class RuleLLM:
 
     def __init__(self, config: RuleLLMConfig | None = None,
                  provider: LLMProvider | None = None) -> None:
-        from repro.api.stages import PipelineRunInfo
-
         self.config = config or RuleLLMConfig()
         self.provider = provider or SimulatedAnalystLLM(
             profile=get_profile(self.config.model), seed=self.config.seed
@@ -72,7 +57,6 @@ class RuleLLM:
         # sessions built below run whatever is installed here
         self.crafting = CraftingStage(self.provider, self.config)
         self.refining = RefiningStage(self.provider, self.config)
-        self.last_run: PipelineRunInfo = PipelineRunInfo()
 
     def _session(self, first_stage=None) -> "GenerationSession":
         from repro.api.session import GenerationSession
@@ -101,9 +85,7 @@ class RuleLLM:
         """Run the full pipeline over a malware corpus."""
         session = self._session()
         session.add_batch(packages)
-        result = session.generate()
-        self.last_run = result.info
-        return result.rule_set
+        return session.generate().rule_set
 
     def generate_rules_for_group(self, packages: list[Package],
                                  cluster_id: int = 0) -> GeneratedRuleSet:

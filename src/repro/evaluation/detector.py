@@ -233,8 +233,13 @@ class RuleScanner:
     ) -> PackageDetection:
         """Scan one package; ``cost_sink`` (any object with
         ``record(engine, rule_key, seconds, package)``, e.g. a
-        :class:`repro.scanserve.telemetry.RuleCostSample`) receives per-rule
-        evaluation timings without changing the detections."""
+        :class:`repro.scanserve.telemetry.RuleCostTracker`) receives per-rule
+        evaluation timings without changing the detections.
+
+        Without an index, each engine is one loop over its rules, the same
+        loop as ``CompiledRuleSet.match`` and
+        ``CompiledSemgrepRuleSet.match_target``, timed per rule only when
+        ``cost_sink`` is given."""
         if self.index is not None:
             return self.scan_prepared([package], cost_sink=cost_sink)[0]
         [prepared] = prepare_packages([package], self.parses)
@@ -244,35 +249,30 @@ class RuleScanner:
         )
         if self.yara_rules is not None and len(self.yara_rules):
             text = prepared.yara_text
-            if cost_sink is not None:
-                # same verdicts as CompiledRuleSet.match, timed per rule
-                names = set()
-                for rule in self.yara_rules.rules:
-                    rule_start = time.perf_counter()
-                    found = rule.match(text)
+            names = set()
+            for rule in self.yara_rules.rules:
+                started = time.perf_counter() if cost_sink is not None else 0.0
+                if rule.match(text) is not None:
+                    names.add(rule.name)
+                if cost_sink is not None:
                     cost_sink.record(
-                        "yara", rule.name,
-                        time.perf_counter() - rule_start, detection.package,
+                        "yara", rule.name, time.perf_counter() - started,
+                        detection.package,
                     )
-                    if found is not None:
-                        names.add(found.rule_name)
-            else:
-                names = {m.rule_name for m in self.yara_rules.match(text)}
             detection.yara_rules = sorted(names)
         if self.semgrep_rules is not None and len(self.semgrep_rules):
             target = prepared.target
-            if cost_sink is not None:
-                findings = []
-                for compiled in self.semgrep_rules.rules:
-                    rule_start = time.perf_counter()
-                    findings.extend(compiled.match_target(target))
+            ids = set()
+            for rule in self.semgrep_rules.rules:
+                started = time.perf_counter() if cost_sink is not None else 0.0
+                if rule.match_target(target):
+                    ids.add(rule.id)
+                if cost_sink is not None:
                     cost_sink.record(
-                        "semgrep", compiled.id,
-                        time.perf_counter() - rule_start, detection.package,
+                        "semgrep", rule.id, time.perf_counter() - started,
+                        detection.package,
                     )
-            else:
-                findings = self.semgrep_rules.match_target(target)
-            detection.semgrep_rules = sorted({finding.rule_id for finding in findings})
+            detection.semgrep_rules = sorted(ids)
         return detection
 
     def scan_prepared(

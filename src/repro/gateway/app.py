@@ -13,7 +13,11 @@ long-running service:
   pool; clients poll, await, or cancel (:mod:`repro.gateway.jobs`);
 * **event push**: registry publishes and re-scan deltas are bridged into
   per-tenant async notification streams (:mod:`repro.gateway.notify`), so
-  subscribers hear about new rule versions without polling.
+  subscribers hear about new rule versions without polling;
+* **latency**: every finished job's seconds land in the app's own
+  :class:`repro.obs.metrics.Histogram` family, labeled ``(tenant, kind)``,
+  which :meth:`GatewayApp.metrics` renders per tenant, and in the
+  process-wide ``repro_gateway_job_seconds`` family that Prometheus scrapes.
 
 Blocking pipeline work (scanning, rule generation) runs on the default
 executor, keeping the event loop free to admit requests, serve status and
@@ -44,8 +48,8 @@ from repro.gateway.jobs import (
     Job,
     JobQueue,
 )
-from repro.gateway.metrics import LatencyTracker
 from repro.gateway.notify import NotificationHub, Subscription
+from repro.obs.metrics import Histogram, HistogramChild
 from repro.obs.metrics import get_registry as _obs_registry
 from repro.obs.trace import get_tracer
 
@@ -85,6 +89,27 @@ def _with_ctx(tracer, ctx, fn):
         return fn()
 
 
+def latency_dict(histogram: HistogramChild) -> dict:
+    """One ``(tenant, kind)`` latency histogram as ``/metrics`` shows it:
+    totals, the non-empty buckets and interpolated p50/p99, in seconds."""
+    counts, total, total_sum, observed_max = histogram.snapshot()
+    p50, p99 = histogram.quantile(0.50), histogram.quantile(0.99)
+    return {
+        "count": total,
+        "sum_seconds": round(total_sum, 6),
+        "max_seconds": round(observed_max, 6),
+        "mean_seconds": round(total_sum / total, 6) if total else None,
+        "buckets": [
+            {"le": bound, "count": count}
+            for bound, count in zip(histogram.bounds, counts)
+            if count
+        ],
+        "overflow": counts[-1],
+        "p50_seconds": round(p50, 6) if p50 is not None else None,
+        "p99_seconds": round(p99, 6) if p99 is not None else None,
+    }
+
+
 def _event_payload(event: PublishEvent) -> dict:
     return {
         "namespace": event.namespace,
@@ -114,16 +139,27 @@ class GatewayApp:
         #: surfaces the jobs the crash interrupted.
         self.store = store
         self.tenants = TenantManager(
+            self._tenant_service,
             default_quota=self.config.default_quota,
             clock=self.clock,
-            service_factory=self._tenant_service if store is not None else None,
         )
         self.jobs = JobQueue(
             workers=self.config.workers,
             history_limit=self.config.history_limit,
             clock=self.clock,
         )
-        self.latency = LatencyTracker()
+        #: Job seconds by ``(tenant, kind)`` for this app's ``/metrics``
+        #: document.  Built outside the process registry, so two apps in
+        #: one process never share observations; each one also lands in the
+        #: process-wide family of the same name.
+        self.latency = Histogram(
+            "repro_gateway_job_seconds",
+            "Gateway job latency by tenant and job kind.",
+            ("tenant", "kind"),
+        )
+        self._process_latency = _obs_registry().histogram(
+            self.latency.name, self.latency.help, self.latency.labelnames
+        )
         self.jobs.on_transition = self._on_job_transition
         self.hub = NotificationHub(clock=self.clock)
         self._feeds: Dict[str, BoundedQueue] = {}  # open generation feeds by job id
@@ -132,11 +168,19 @@ class GatewayApp:
         self.interrupted_jobs: List[Job] = []  # recovered at start()
 
     def _tenant_service(self, name: str) -> ScanService:
-        """Store-backed tenant slice: the registry recovers from (and
-        journals into) ``<store root>/tenants/<name>``."""
-        substore = self.store.substore("tenants", name)
+        """A new tenant's scan service.  With a store, its registry
+        recovers from (and journals into) ``<store root>/tenants/<name>``;
+        without one, it starts empty in memory."""
+        if self.store is None:
+            registry = RulesetRegistry(namespace=name)
+        else:
+            registry = RulesetRegistry.from_store(
+                self.store.substore("tenants", name), namespace=name
+            )
+        # in-process workers: gateway jobs already run on executor threads,
+        # and per-request process pools would dominate small batches
         return ScanService(
-            registry=RulesetRegistry.from_store(substore, namespace=name),
+            registry=registry,
             config=ScanServiceConfig(mode="inprocess", recency_window=128),
         )
 
@@ -453,7 +497,9 @@ class GatewayApp:
         if state in TERMINAL_STATES:
             _JOBS_FINISHED.inc(kind=job.kind, state=state)
             if job.seconds is not None:
-                self.latency.observe(job.tenant, job.kind, job.seconds)
+                labels = {"tenant": job.tenant, "kind": job.kind}
+                self.latency.observe(job.seconds, **labels)
+                self._process_latency.observe(job.seconds, **labels)
         if self.store is None:
             return
         record_type = {QUEUED: "job-submitted", RUNNING: "job-started"}.get(
@@ -519,6 +565,9 @@ class GatewayApp:
         rejection counters) — this just folds it into one scrape-friendly
         document for dashboards and the ``GET /metrics`` endpoint.
         """
+        latency: Dict[str, dict] = {}
+        for (tenant_name, kind), histogram in self.latency.samples():
+            latency.setdefault(tenant_name, {})[kind] = latency_dict(histogram)
         tenants = []
         for tenant in self.tenants.tenants():
             tenant_jobs = self.jobs.jobs(tenant=tenant.name)
@@ -531,7 +580,7 @@ class GatewayApp:
                 "quota_rejections": tenant.rejected,
                 "registry_versions": tenant.registry.versions(),
                 "active_version": tenant.registry.current_version(),
-                "latency": self.latency.tenant_dict(tenant.name),
+                "latency": latency.get(tenant.name, {}),
             })
         return {
             "jobs": self.jobs.counts(),

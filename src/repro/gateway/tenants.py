@@ -34,7 +34,7 @@ _RATE_LIMITED = _obs_registry().counter(
     ("tenant", "reason"),
 )
 from repro.scanserve.registry import RulesetRegistry
-from repro.scanserve.service import ScanService, ScanServiceConfig
+from repro.scanserve.service import ScanService
 
 _TENANT_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 
@@ -109,24 +109,17 @@ class TenantManager:
 
     def __init__(
         self,
+        service_factory: Callable[[str], ScanService],
         default_quota: Optional[TenantQuota] = None,
         clock: Optional[Clock] = None,
-        service_factory: Optional[Callable[[str], ScanService]] = None,
     ) -> None:
+        """``service_factory`` builds the scan service of a tenant being
+        registered, from its name."""
         self.default_quota = default_quota or TenantQuota()
         self._clock = clock or time.monotonic
-        self._service_factory = service_factory or self._default_service
+        self._service_factory = service_factory
         self._tenants: Dict[str, Tenant] = {}
         self._lock = threading.Lock()
-
-    @staticmethod
-    def _default_service(name: str) -> ScanService:
-        # in-process workers: gateway jobs already run on executor threads,
-        # and per-request process pools would dominate small batches
-        return ScanService(
-            registry=RulesetRegistry(namespace=name),
-            config=ScanServiceConfig(mode="inprocess", recency_window=128),
-        )
 
     # -- registration ---------------------------------------------------------------
     def register(self, name: str, quota: Optional[TenantQuota] = None) -> Tenant:

@@ -56,12 +56,6 @@ class Usage:
     prompt_tokens: int = 0
     completion_tokens: int = 0
 
-    def add(self, other: "Usage") -> "Usage":
-        return Usage(
-            prompt_tokens=self.prompt_tokens + other.prompt_tokens,
-            completion_tokens=self.completion_tokens + other.completion_tokens,
-        )
-
 
 @dataclass
 class LLMResponse:

@@ -10,12 +10,13 @@ textual completion.
 Determinism: every stochastic decision is seeded from the provider seed, the
 model name and a hash of the prompt, so re-running the pipeline reproduces
 the same rules, the same faults and therefore the same evaluation numbers.
+The provider keeps no state between calls: each response carries its own
+token :class:`~repro.llm.base.Usage` and ``truncated_prompt`` flag.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from repro.corpus.package import PackageMetadata
 from repro.llm import protocol
@@ -36,23 +37,6 @@ from repro.utils.hashing import stable_digest
 from repro.utils.seeding import DeterministicRandom
 
 
-@dataclass
-class ProviderStats:
-    """Bookkeeping across a provider's lifetime (inspected by experiments)."""
-
-    requests: int = 0
-    truncated_requests: int = 0
-    usage: Usage = field(default_factory=Usage)
-    tasks: dict[str, int] = field(default_factory=dict)
-
-    def record(self, task: str, usage: Usage, truncated: bool) -> None:
-        self.requests += 1
-        if truncated:
-            self.truncated_requests += 1
-        self.usage = self.usage.add(usage)
-        self.tasks[task] = self.tasks.get(task, 0) + 1
-
-
 class SimulatedAnalystLLM:
     """Deterministic, profile-degraded stand-in for a commercial LLM."""
 
@@ -65,7 +49,6 @@ class SimulatedAnalystLLM:
         self.profile = profile
         self.seed = seed
         self.analyzer = analyzer or CodeAnalyzer()
-        self.stats = ProviderStats()
 
     # -- LLMProvider protocol ---------------------------------------------------
     @property
@@ -98,7 +81,6 @@ class SimulatedAnalystLLM:
 
         usage = Usage(prompt_tokens=count_tokens(request.full_text),
                       completion_tokens=count_tokens(completion))
-        self.stats.record(task, usage, truncated)
         return LLMResponse(text=completion, model=self.model_name, usage=usage,
                            truncated_prompt=truncated)
 

@@ -21,6 +21,8 @@ Aho–Corasick prefilter, registry malware pipelines) reach scale:
   ``(package fingerprint, ruleset version)``;
 * :mod:`repro.scanserve.scheduler` — chunking, a bounded worker pool
   (multiprocessing with an in-process fallback) and backpressure;
+* :mod:`repro.scanserve.telemetry` — per-rule evaluation costs behind
+  ``ScanService.top_slow_rules``;
 * :mod:`repro.scanserve.service` — :class:`ScanService`, the batch-scanning
   front end tying the pieces together.
 
@@ -37,7 +39,7 @@ from repro.scanserve.atoms import (
     semgrep_rule_atoms,
     yara_rule_atoms,
 )
-from repro.scanserve.cache import CacheStats, ScanResultCache
+from repro.scanserve.cache import ScanResultCache
 from repro.scanserve.index import AUTOMATON_LANE, IndexStats, RuleIndex
 from repro.scanserve.packed import (
     AUTOMATON_THRESHOLD,
@@ -61,7 +63,7 @@ from repro.scanserve.scheduler import (
     ShardStats,
     chunk_items,
 )
-from repro.scanserve.telemetry import RuleCost, RuleCostSample, RuleCostTracker
+from repro.scanserve.telemetry import RuleCost, RuleCostTracker
 from repro.scanserve.service import (
     BatchScanResult,
     RescanDelta,
@@ -87,10 +89,8 @@ __all__ = [
     "RulesetVersion",
     "ShardProvenance",
     "merge_shard_rulesets",
-    "CacheStats",
     "ScanResultCache",
     "RuleCost",
-    "RuleCostSample",
     "RuleCostTracker",
     "AUTO",
     "INPROCESS",

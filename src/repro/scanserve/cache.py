@@ -12,23 +12,18 @@ digest from :class:`repro.evaluation.detector.PreparedPackage` (built on
 and the scan configuration.
 
 The cache lives in memory only; durable state goes through
-:mod:`repro.store`.
+:mod:`repro.store`.  It counts nothing itself: each batch reports its hits
+and misses (``BatchScanResult.cache_hits``/``cache_misses``), and the
+service adds them to ``repro_scan_cache_total{outcome}``.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from repro.evaluation.detector import PackageDetection
-
-
-@dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
 
 
 class ScanResultCache:
@@ -40,7 +35,6 @@ class ScanResultCache:
         self.max_entries = max_entries
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple[str, int | str], PackageDetection]" = OrderedDict()
-        self.stats = CacheStats()
 
     @staticmethod
     def _copy(detection: PackageDetection) -> PackageDetection:
@@ -56,10 +50,8 @@ class ScanResultCache:
         with self._lock:
             detection = self._entries.get(key)
             if detection is None:
-                self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
-            self.stats.hits += 1
             return self._copy(detection)
 
     def put(self, fingerprint: str, ruleset_version: int | str, detection: PackageDetection) -> None:
@@ -69,7 +61,6 @@ class ScanResultCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-                self.stats.evictions += 1
 
     def clear(self) -> None:
         with self._lock:

@@ -26,6 +26,11 @@ packages the current batch and the recency ring hold, and no others.
 ``fork`` workers inherit it through the pool's ``initargs``; under other
 start methods it pickles empty.
 
+Each shard times every rule it evaluates into its own
+:class:`~repro.scanserve.telemetry.RuleCostTracker`, which rides home in
+the shard's result.  The service merges it, under its own lock, into the
+one tracker it keeps, which :meth:`ScanService.top_slow_rules` ranks.
+
 The service also keeps a bounded **recency ring** of the package
 fingerprints it scanned most recently.  Subscribed to its registry's event
 bus (``ScanServiceConfig(live_rescan=True)`` or
@@ -34,7 +39,8 @@ window whenever a new ruleset version goes live and reports the
 :class:`RescanDelta` — which packages are newly flagged, which changed
 matched rules, which came up clean — cheap, because the result cache is
 ``(fingerprint, version)``-keyed and the old verdicts are already in the
-ring.
+ring.  ``last_rescan`` holds the latest delta; the service keeps no history
+of them.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ from repro.scanserve.scheduler import (
 )
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer, remote_span_record
-from repro.scanserve.telemetry import RuleCost, RuleCostSample, RuleCostTracker
+from repro.scanserve.telemetry import RuleCost, RuleCostTracker
 from repro.semgrepx.matcher import ParseMemo
 
 _METRICS = get_registry()
@@ -154,7 +160,7 @@ def _worker_init(
     )
 
 
-def _scan_shard(envelope) -> tuple[list, RuleCostSample, float, list]:
+def _scan_shard(envelope) -> tuple[list, RuleCostTracker, float, list]:
     """Scan one chunk as a batch.
 
     ``envelope`` is ``(items, span_carrier)`` — the chunk plus the parent
@@ -163,15 +169,16 @@ def _scan_shard(envelope) -> tuple[list, RuleCostSample, float, list]:
     caller's trace.
 
     Returns ``(indexed detections, rule costs, seconds, span records)``;
-    shard-local telemetry rides home in the result tuple and the parent
-    folds it back into service-level aggregates.
+    the rule costs are the shard's own :class:`RuleCostTracker`, which
+    rides home in the result tuple and which the parent merges into the
+    service's.
     """
     shard, carrier = envelope
     scanner = getattr(_WORKER, "scanner", None)
     assert scanner is not None, "worker not initialised"
     start_wall = time.time()
     started = time.perf_counter()
-    costs = RuleCostSample()
+    costs = RuleCostTracker()
     scanned = scanner.scan_prepared(
         [package for _, package in shard], cost_sink=costs
     )
@@ -357,14 +364,16 @@ class ScanService:
             registry = RulesetRegistry()
         self.registry = registry
         self.cache = ScanResultCache()
-        self.rule_costs = RuleCostTracker()
+        self._rule_costs = RuleCostTracker()
+        self._rule_costs_lock = threading.Lock()
         # recency ring: fingerprint -> last scan, oldest first
         self._recent: "OrderedDict[str, _RecentScan]" = OrderedDict()
         self._recent_lock = threading.Lock()
         self._rescan_lock = threading.Lock()
         self._subscription: Optional[int] = None
         self._on_delta: Optional[Callable[[RescanDelta], None]] = None
-        self.rescans: list[RescanDelta] = []
+        #: The latest live re-scan's delta, ``None`` until one ran.
+        self.last_rescan: Optional[RescanDelta] = None
         self._scheduler = ScanScheduler(
             mode=self.config.mode, max_workers=max(1, self.config.shards)
         )
@@ -403,7 +412,8 @@ class ScanService:
         Every scan records per-rule costs; rules the prefilter index
         skipped cost nothing and never appear.
         """
-        return self.rule_costs.top_slow_rules(n, by=by)
+        with self._rule_costs_lock:
+            return self._rule_costs.top_slow_rules(n, by=by)
 
     # -- scanning ------------------------------------------------------------------
     def scan_package(self, package: Package) -> PackageDetection:
@@ -493,7 +503,8 @@ class ScanService:
             for shard_id, (detections, costs, seconds, span_records) in enumerate(
                 report.results
             ):
-                self.rule_costs.absorb(costs)
+                with self._rule_costs_lock:
+                    self._rule_costs.merge(costs)
                 if span_records:
                     tracer.absorb(span_records)
                 stats = ShardStats(shard_id=shard_id, seconds=seconds)
@@ -577,7 +588,8 @@ class ScanService:
     ) -> "ScanService":
         """Subscribe to the registry: whenever a new version goes live,
         re-scan the recency window and record a :class:`RescanDelta`
-        (``service.rescans`` keeps them; ``on_delta`` fires per re-scan).
+        (``service.last_rescan`` holds the latest; ``on_delta`` fires per
+        re-scan).
 
         The recency ring is fed by the fingerprints the result cache
         computes, so live re-scan requires ``enable_cache`` and a
@@ -595,10 +607,6 @@ class ScanService:
         if self._subscription is None:
             self._subscription = self.registry.subscribe(self._on_registry_event)
         return self
-
-    @property
-    def last_rescan(self) -> Optional[RescanDelta]:
-        return self.rescans[-1] if self.rescans else None
 
     def _on_registry_event(self, event: PublishEvent) -> None:
         if not event.activated:
@@ -659,7 +667,7 @@ class ScanService:
                         live.detection = detection
                         live.version = target
             delta.elapsed_seconds = time.perf_counter() - started
-            self.rescans.append(delta)
+            self.last_rescan = delta
         if self._on_delta is not None:
             self._on_delta(delta)
         return delta

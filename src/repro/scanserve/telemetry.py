@@ -7,18 +7,21 @@ times every rule evaluation and aggregates the figures per rule:
 :meth:`RuleCostTracker.top_slow_rules` surfaces the worst offenders so they
 can be rewritten or retired.
 
-Two pieces, split along the worker boundary:
-
-* :class:`RuleCostSample` — a lock-free, picklable accumulator one shard
-  fills while scanning (shipped back from process-pool workers);
-* :class:`RuleCostTracker` — the thread-safe service-lifetime aggregate
-  that absorbs samples and answers telemetry queries.
+One :class:`RuleCostTracker` class serves both sides of the worker
+boundary.  Each shard fills a fresh one while it scans (plain data, so a
+process-pool worker ships it home whole in ``_scan_shard``'s result), and
+the service merges it into its own under the service's lock.  Each merge
+adds the shard's per-engine totals to the process-wide
+``repro_rule_evaluations_total{engine}`` and
+``repro_rule_eval_seconds_total{engine}`` counters.  The per-rule detail
+stays here and not in :mod:`repro.obs`: a rule-name label would put up to
+one series per rule into every ``/metrics`` scrape, a histogram has no
+place for ``slowest_package``, and shards could not merge histograms.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.obs.metrics import get_registry
 
@@ -56,68 +59,55 @@ class RuleCost:
 
 
 @dataclass
-class RuleCostSample:
-    """Per-shard rule timings (plain data, safe to pickle across workers)."""
+class RuleCostTracker:
+    """Per-rule costs, keyed ``(engine, rule name)``.
+
+    Not thread-safe: the service guards its own tracker with a lock.  It
+    stays a plain object with a ``__dict__`` (no ``__slots__``, no
+    ``__getstate__``), so whatever a caller attaches to a shard's tracker
+    pickles home with it.
+    """
 
     costs: dict[tuple[str, str], RuleCost] = field(default_factory=dict)
 
     def record(self, engine: str, rule_key: str, seconds: float, package: str) -> None:
         cost = self.costs.get((engine, rule_key))
         if cost is None:
-            cost = RuleCost(rule_key=rule_key, engine=engine)
-            self.costs[(engine, rule_key)] = cost
+            cost = self.costs[(engine, rule_key)] = RuleCost(
+                rule_key=rule_key, engine=engine
+            )
         cost.evaluations += 1
         cost.total_seconds += seconds
         if seconds >= cost.max_seconds:
             cost.max_seconds = seconds
             cost.slowest_package = package
 
-    def __len__(self) -> int:
-        return len(self.costs)
-
-
-class RuleCostTracker:
-    """Thread-safe service-lifetime aggregation of rule costs."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._costs: dict[tuple[str, str], RuleCost] = {}
-
-    def absorb(self, sample: RuleCostSample) -> None:
-        # mirror engine-level aggregates into the process-wide registry so
-        # rule-evaluation cost shows up in Prometheus scrapes; the per-rule
-        # detail stays here (unbounded rule names make bad label values)
+    def merge(self, other: "RuleCostTracker") -> None:
+        """Add ``other``'s costs to these, and its per-engine totals to the
+        process-wide counters."""
         per_engine: dict[str, tuple[int, float]] = {}
-        for (engine, _), incoming in sample.costs.items():
-            evals, seconds = per_engine.get(engine, (0, 0.0))
-            per_engine[engine] = (
+        for key, incoming in other.costs.items():
+            cost = self.costs.get(key)
+            if cost is None:
+                cost = self.costs[key] = RuleCost(
+                    rule_key=incoming.rule_key, engine=incoming.engine
+                )
+            cost.evaluations += incoming.evaluations
+            cost.total_seconds += incoming.total_seconds
+            if incoming.max_seconds >= cost.max_seconds:
+                cost.max_seconds = incoming.max_seconds
+                cost.slowest_package = incoming.slowest_package
+            evals, seconds = per_engine.get(incoming.engine, (0, 0.0))
+            per_engine[incoming.engine] = (
                 evals + incoming.evaluations,
                 seconds + incoming.total_seconds,
             )
         for engine, (evals, seconds) in per_engine.items():
             _RULE_EVALS.inc(evals, engine=engine)
             _RULE_SECONDS.inc(seconds, engine=engine)
-        with self._lock:
-            for key, incoming in sample.costs.items():
-                cost = self._costs.get(key)
-                if cost is None:
-                    self._costs[key] = RuleCost(
-                        rule_key=incoming.rule_key,
-                        engine=incoming.engine,
-                        evaluations=incoming.evaluations,
-                        total_seconds=incoming.total_seconds,
-                        max_seconds=incoming.max_seconds,
-                        slowest_package=incoming.slowest_package,
-                    )
-                    continue
-                cost.evaluations += incoming.evaluations
-                cost.total_seconds += incoming.total_seconds
-                if incoming.max_seconds >= cost.max_seconds:
-                    cost.max_seconds = incoming.max_seconds
-                    cost.slowest_package = incoming.slowest_package
 
     def top_slow_rules(self, n: int = 10, by: str = "max") -> list[RuleCost]:
-        """The ``n`` most expensive rules, slowest first.
+        """Copies of the ``n`` most expensive rules, slowest first.
 
         ``by='max'`` ranks by worst single evaluation (pathological-regex
         hunting); ``by='total'`` ranks by cumulative cost (capacity
@@ -133,27 +123,7 @@ class RuleCostTracker:
         if by not in keys:
             raise ValueError(f"by must be one of {sorted(keys)}, got {by!r}")
         cost_of = keys[by]
-        with self._lock:
-            ranked = sorted(
-                self._costs.values(),
-                key=lambda c: (-cost_of(c), c.engine, c.rule_key),
-            )
-            return [
-                RuleCost(
-                    rule_key=c.rule_key,
-                    engine=c.engine,
-                    evaluations=c.evaluations,
-                    total_seconds=c.total_seconds,
-                    max_seconds=c.max_seconds,
-                    slowest_package=c.slowest_package,
-                )
-                for c in ranked[: max(0, n)]
-            ]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._costs)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._costs.clear()
+        ranked = sorted(
+            self.costs.values(), key=lambda c: (-cost_of(c), c.engine, c.rule_key)
+        )
+        return [replace(c) for c in ranked[: max(0, n)]]

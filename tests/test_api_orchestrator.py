@@ -314,6 +314,8 @@ class TestLiveRescan:
 
     def test_publish_triggers_rescan_with_delta(self):
         service = self._service()
+        deltas = []
+        service.enable_live_rescan(on_delta=deltas.append)
         service.publish(
             yara=compile_source(
                 'rule weak { strings: $a = "alpha_token" condition: $a }'
@@ -339,7 +341,7 @@ class TestLiveRescan:
         assert delta.cleared == []
         assert delta.unchanged == 1  # the clean package
         assert delta.has_changes and "re-scan v1 -> v2" in delta.describe()
-        assert len(service.rescans) == 1
+        assert deltas == [delta]
 
     def test_rules_dropped_from_the_new_version_clear_detections(self):
         service = self._service()
@@ -374,6 +376,8 @@ class TestLiveRescan:
 
     def test_consecutive_publishes_diff_against_latest(self):
         service = self._service()
+        deltas = []
+        service.enable_live_rescan(on_delta=deltas.append)
         service.publish(yara=compile_source(
             'rule a { strings: $a = "alpha_token" condition: $a }'
         ))
@@ -387,10 +391,27 @@ class TestLiveRescan:
             'rule b { strings: $b = "beta_token" condition: $b }\n'
             'rule c { strings: $c = "nothing suspicious" condition: $c }'
         ))
-        assert len(service.rescans) == 2
-        second = service.rescans[-1]
+        assert len(deltas) == 2
+        second = deltas[-1]
         assert (second.from_version, second.to_version) == (2, 3)
         assert second.new == ["clean==1.0"]  # only the v3 novelty, not v2's
+
+    def test_last_rescan_is_the_delta_each_publish_sent(self):
+        service = self._service()
+        deltas = []
+        service.enable_live_rescan(on_delta=deltas.append)
+        service.publish(yara=compile_source(
+            'rule a { strings: $a = "alpha_token" condition: $a }'
+        ))
+        service.scan_batch(self._corpus())
+        needles = ("beta_token", "nothing suspicious", "lives here")
+        for number, needle in enumerate(needles, start=2):
+            service.publish(yara=compile_source(
+                f'rule r{number} {{ strings: $a = "{needle}" condition: $a }}'
+            ))
+            assert len(deltas) == number - 1
+            assert service.last_rescan is deltas[-1]
+            assert service.last_rescan.to_version == number
 
     def test_rescan_recent_is_noop_when_ring_already_current(self):
         service = self._service()

@@ -84,12 +84,16 @@ class TestGenerationSession:
         assert "packages" in result.describe()
 
     def test_results_history(self, malware_packages):
+        """Each generate returns its own result, over the packages fed
+        since the previous call."""
         session = GenerationSession(RuleLLMConfig.full())
         session.add_batch(malware_packages[:2])
         first = session.generate()
-        session.add_batch(malware_packages[2:4])
+        session.add_batch(malware_packages[2:5])
         second = session.generate()
-        assert session.results == [first, second]
+        assert first is not second
+        assert (first.info.package_count, first.batch_sizes) == (2, [2])
+        assert (second.info.package_count, second.batch_sizes) == (3, [3])
 
 
 # -- streaming feed -----------------------------------------------------------------

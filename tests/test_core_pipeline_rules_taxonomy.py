@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import GenerationSession
 from repro.categories import CATEGORIES
 from repro.core import RuleLLM, RuleLLMConfig
 from repro.core.rules import GeneratedRule, GeneratedRuleSet
@@ -123,8 +124,10 @@ def test_pipeline_empty_corpus():
     assert len(rules) == 0
 
 
-def test_pipeline_run_info_populated(pipeline, generated_rules):
-    info = pipeline.last_run
+def test_pipeline_run_info_populated(malware_packages):
+    session = GenerationSession(RuleLLMConfig.full())
+    session.add_batch(malware_packages[:6])
+    info = session.generate().info
     assert info.package_count > 0
     assert info.cluster_count > 0
     assert info.refined_rule_count >= info.cluster_count

@@ -141,12 +141,19 @@ def test_agent_fixes_broken_rule_within_attempt_budget():
 
 
 def test_agent_passes_through_valid_rule_without_llm_calls():
-    provider = SimulatedAnalystLLM(ORACLE)
+    class CountingLLM(SimulatedAnalystLLM):
+        requests = 0
+
+        def complete(self, request):
+            self.requests += 1
+            return super().complete(request)
+
+    provider = CountingLLM(ORACLE)
     agent = AlignmentAgent(provider, max_attempts=5)
     valid = 'rule ok { strings: $a = "v" condition: $a }'
     outcome = agent.align(valid, "yara")
     assert outcome.success and outcome.attempts == 0
-    assert provider.stats.requests == 0
+    assert provider.requests == 0
 
 
 def test_agent_unknown_format_raises():

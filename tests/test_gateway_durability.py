@@ -10,8 +10,9 @@ import pytest
 
 from repro.corpus.package import Package, PackageFile, PackageMetadata
 from repro.gateway import GatewayApp, GatewayConfig
+from repro.gateway.app import latency_dict
 from repro.gateway.jobs import DONE, INTERRUPTED, TERMINAL_STATES
-from repro.gateway.metrics import DEFAULT_BUCKETS, LatencyHistogram, LatencyTracker
+from repro.obs.metrics import DEFAULT_BUCKETS, HistogramChild
 from repro.store import open_store
 from repro.yarax import compile_source
 
@@ -49,11 +50,11 @@ def run(coro):
 
 class TestLatencyHistogram:
     def test_quantiles_interpolate(self):
-        histogram = LatencyHistogram()
+        histogram = HistogramChild()
         for ms in (1, 2, 3, 4, 100):
             histogram.observe(ms / 1000.0)
         assert histogram.count == 5
-        summary = histogram.to_dict()
+        summary = latency_dict(histogram)
         assert summary["count"] == 5
         assert 0.001 <= summary["p50_seconds"] <= 0.01
         # interpolation is bounded by the bucket holding the max (0.128s
@@ -62,10 +63,10 @@ class TestLatencyHistogram:
         assert summary["max_seconds"] == pytest.approx(0.1)
 
     def test_overflow_bucket_caps_at_observed_max(self):
-        histogram = LatencyHistogram()
+        histogram = HistogramChild()
         beyond = DEFAULT_BUCKETS[-1] * 4
         histogram.observe(beyond)
-        summary = histogram.to_dict()
+        summary = latency_dict(histogram)
         assert summary["overflow"] == 1
         # the +Inf bucket interpolates toward the observed max, so the
         # estimate stays finite and below it — never past the real tail
@@ -73,24 +74,26 @@ class TestLatencyHistogram:
         assert summary["max_seconds"] == pytest.approx(beyond)
 
     def test_empty_histogram_reports_no_quantiles(self):
-        summary = LatencyHistogram().to_dict()
+        summary = latency_dict(HistogramChild())
         assert summary["count"] == 0
         assert summary["p50_seconds"] is None
         assert summary["mean_seconds"] is None
         assert summary["buckets"] == []
 
     def test_tracker_keys_by_tenant_and_kind(self):
-        tracker = LatencyTracker()
-        tracker.observe("acme", "scan", 0.004)
-        tracker.observe("acme", "scan", 0.008)
-        tracker.observe("acme", "generate", 1.5)
-        tracker.observe("umbrella", "scan", 0.1)
-        acme = tracker.tenant_dict("acme")
-        assert sorted(acme) == ["generate", "scan"]
-        assert acme["scan"]["count"] == 2
-        assert acme["generate"]["count"] == 1
-        assert tracker.tenant_dict("umbrella")["scan"]["count"] == 1
-        assert tracker.tenant_dict("nobody") == {}
+        app = GatewayApp(GatewayConfig())
+        for name in ("acme", "umbrella", "nobody"):
+            app.register_tenant(name)
+        app.latency.observe(0.004, tenant="acme", kind="scan")
+        app.latency.observe(0.008, tenant="acme", kind="scan")
+        app.latency.observe(1.5, tenant="acme", kind="generate")
+        app.latency.observe(0.1, tenant="umbrella", kind="scan")
+        latency = {t["name"]: t["latency"] for t in app.metrics()["tenants"]}
+        assert sorted(latency["acme"]) == ["generate", "scan"]
+        assert latency["acme"]["scan"]["count"] == 2
+        assert latency["acme"]["generate"]["count"] == 1
+        assert latency["umbrella"]["scan"]["count"] == 1
+        assert latency["nobody"] == {}
 
 
 class TestJobJournal:

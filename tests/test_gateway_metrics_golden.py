@@ -1,15 +1,20 @@
 """Golden test: the gateway's ``/metrics`` JSON must stay byte-stable.
 
-``repro.gateway.metrics`` became a facade over :mod:`repro.obs.metrics`;
-these strings were captured from the pre-facade implementation, so any
-drift in bucket layout, quantile math, rounding, or key order — however
-well-intentioned — fails here and must be an explicit decision.
+Each ``(tenant, kind)`` latency histogram is a child of the app's
+:class:`repro.obs.metrics.Histogram` family, rendered by
+:func:`repro.gateway.app.latency_dict`.  These strings were captured from
+the gateway's original implementation, so any drift in bucket layout,
+quantile math, rounding, or key order — however well-intentioned — fails
+here and must be an explicit decision.
 """
 
 import json
 
-from repro.gateway.metrics import LatencyHistogram, LatencyTracker
+from repro.gateway import GatewayApp
+from repro.gateway.app import latency_dict
+from repro.gateway.jobs import DONE, Job
 from repro.obs import get_registry
+from repro.obs.metrics import DEFAULT_BUCKETS, HistogramChild
 
 # captured from the original implementation (pre repro.obs), verbatim
 _HIST_GOLDEN = (
@@ -35,46 +40,67 @@ _EMPTY_GOLDEN = (
 )
 
 
+def _finish(app: GatewayApp, tenant: str, kind: str, seconds: float) -> None:
+    """Pass one job that ran ``seconds`` through the app's job observer."""
+    job = Job(
+        id=f"{tenant}-{kind}-{seconds}",
+        tenant=tenant,
+        kind=kind,
+        state=DONE,
+        started_at=0.0,
+        finished_at=seconds,
+    )
+    app._on_job_transition(job, DONE)
+
+
+def _latency(app: GatewayApp, tenant: str) -> dict:
+    return next(t["latency"] for t in app.metrics()["tenants"] if t["name"] == tenant)
+
+
 class TestLatencyHistogramGolden:
     def test_histogram_json_is_byte_stable(self):
-        histogram = LatencyHistogram()
+        histogram = HistogramChild()
         for seconds in (0.0005, 0.0012, 0.003, 0.0031, 0.02, 0.25, 1.5, 70.0, 0.0):
             histogram.observe(seconds)
-        assert json.dumps(histogram.to_dict(), sort_keys=True) == _HIST_GOLDEN
+        assert json.dumps(latency_dict(histogram), sort_keys=True) == _HIST_GOLDEN
 
     def test_empty_histogram_json_is_byte_stable(self):
         assert (
-            json.dumps(LatencyHistogram().to_dict(), sort_keys=True)
+            json.dumps(latency_dict(HistogramChild()), sort_keys=True)
             == _EMPTY_GOLDEN
         )
 
 
 class TestLatencyTrackerGolden:
     def test_tenant_dict_is_byte_stable(self):
-        tracker = LatencyTracker()
+        app = GatewayApp()
+        app.register_tenant("acme")
+        app.register_tenant("unknown")
         for seconds in (0.002, 0.004, 0.05):
-            tracker.observe("acme", "scan", seconds)
-        tracker.observe("acme", "generate", 1.25)
-        assert (
-            json.dumps(tracker.tenant_dict("acme"), sort_keys=True)
-            == _TRACKER_GOLDEN
-        )
-        assert tracker.tenant_dict("unknown") == {}
+            _finish(app, "acme", "scan", seconds)
+        _finish(app, "acme", "generate", 1.25)
+        assert json.dumps(_latency(app, "acme"), sort_keys=True) == _TRACKER_GOLDEN
+        assert _latency(app, "unknown") == {}
 
     def test_trackers_are_isolated_per_instance(self):
-        # one gateway app == one tracker: another app's observations must
-        # never leak into this app's JSON payload
-        first, second = LatencyTracker(), LatencyTracker()
-        first.observe("shared-tenant-name", "scan", 0.01)
-        assert second.tenant_dict("shared-tenant-name") == {}
+        # another app's observations must never leak into this app's JSON
+        first, second = GatewayApp(), GatewayApp()
+        for app in (first, second):
+            app.register_tenant("shared-tenant-name")
+        _finish(first, "shared-tenant-name", "scan", 0.01)
+        assert _latency(first, "shared-tenant-name")["scan"]["count"] == 1
+        assert _latency(second, "shared-tenant-name") == {}
 
     def test_observations_mirror_into_the_global_registry(self):
         tenant = "golden-mirror-tenant"  # unique: the mirror family is global
-        tracker = LatencyTracker()
-        tracker.observe(tenant, "scan", 0.01)
-        tracker.observe(tenant, "scan", 0.02)
+        app = GatewayApp()
+        _finish(app, tenant, "scan", 0.01)
+        _finish(app, tenant, "scan", 0.02)
         family = get_registry().get("repro_gateway_job_seconds")
-        assert family is not None
+        assert family is not None and family is not app.latency
+        for histograms in (family, app.latency):
+            assert histograms.labelnames == ("tenant", "kind")
+            assert histograms.buckets == DEFAULT_BUCKETS
         child = family.labels(tenant=tenant, kind="scan")
         counts, total, total_sum, observed_max = child.snapshot()
         assert total == 2

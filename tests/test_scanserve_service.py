@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,11 +19,15 @@ from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.corpus.package import Package, PackageFile, PackageMetadata
-from repro.evaluation.detector import PackageDetection, PreparedPackage, RuleScanner
+from repro.evaluation.detector import (
+    PackageDetection,
+    PreparedPackage,
+    RuleScanner,
+    prepare_packages,
+)
 from repro.obs import get_registry
 from repro.scanserve import (
     BoundedQueue,
-    RuleCostSample,
     RuleCostTracker,
     RulesetRegistry,
     RulesetVersion,
@@ -148,7 +153,6 @@ class TestScanResultCache:
         cache.put("fp", 1, self._detection())
         hit = cache.get("fp", 1)
         assert hit is not None and hit.yara_rules == ["r1"]
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
 
     def test_version_isolation(self):
         cache = ScanResultCache()
@@ -169,23 +173,33 @@ class TestScanResultCache:
         cache.put("c", 1, self._detection("c"))
         assert cache.get("b", 1) is None  # 'b' was least recently used
         assert cache.get("a", 1) is not None
-        assert cache.stats.evictions == 1
+        assert len(cache) == 2
 
 
 # -- per-rule cost accounting --------------------------------------------------------
 
 
+def _engine_evaluations() -> dict:
+    family = get_registry().get("repro_rule_evaluations_total")
+    return {key: child.value for key, child in family.samples()}
+
+
 class TestRuleCostAccounting:
     def test_sample_records_and_tracker_merges(self):
-        sample = RuleCostSample()
-        sample.record("yara", "r1", 0.5, "pkg-a")
-        sample.record("yara", "r1", 1.5, "pkg-b")
-        sample.record("semgrep", "s1", 0.25, "pkg-a")
+        shard = RuleCostTracker()
+        shard.record("yara", "r1", 0.5, "pkg-a")
+        shard.record("yara", "r1", 1.5, "pkg-b")
+        shard.record("semgrep", "s1", 0.25, "pkg-a")
         tracker = RuleCostTracker()
-        tracker.absorb(sample)
-        other = RuleCostSample()
+        before = _engine_evaluations()
+        tracker.merge(shard)
+        after = _engine_evaluations()
+        # one increment per engine per merge, by the shard's evaluations
+        assert after[("yara",)] - before.get(("yara",), 0) == 2
+        assert after[("semgrep",)] - before.get(("semgrep",), 0) == 1
+        other = RuleCostTracker()
         other.record("yara", "r1", 2.0, "pkg-c")
-        tracker.absorb(other)
+        tracker.merge(other)
         top = tracker.top_slow_rules(2)
         assert top[0].rule_key == "r1"
         assert top[0].evaluations == 3
@@ -193,14 +207,25 @@ class TestRuleCostAccounting:
         assert top[0].slowest_package == "pkg-c"
         assert top[0].total_seconds == pytest.approx(4.0)
         assert top[0].mean_seconds == pytest.approx(4.0 / 3)
+        top[0].evaluations = 99  # callers get copies
+        assert tracker.top_slow_rules(1)[0].evaluations == 3
+        assert shard.costs[("yara", "r1")].evaluations == 2
+
+    def test_equal_maxima_name_the_later_package(self):
+        tracker = RuleCostTracker()
+        tracker.record("yara", "r1", 1.0, "first")
+        tracker.record("yara", "r1", 1.0, "second")
+        assert tracker.top_slow_rules(1)[0].slowest_package == "second"
+        later = RuleCostTracker()
+        later.record("yara", "r1", 1.0, "third")
+        tracker.merge(later)
+        assert tracker.top_slow_rules(1)[0].slowest_package == "third"
 
     def test_ranking_modes(self):
         tracker = RuleCostTracker()
-        sample = RuleCostSample()
         for _ in range(10):  # cheap but hot
-            sample.record("yara", "hot", 0.2, "p")
-        sample.record("yara", "spiky", 1.0, "q")
-        tracker.absorb(sample)
+            tracker.record("yara", "hot", 0.2, "p")
+        tracker.record("yara", "spiky", 1.0, "q")
         assert tracker.top_slow_rules(1, by="max")[0].rule_key == "spiky"
         assert tracker.top_slow_rules(1, by="total")[0].rule_key == "hot"
         with pytest.raises(ValueError):
@@ -220,6 +245,69 @@ class TestRuleCostAccounting:
         assert top == sorted(top, key=lambda c: c.max_seconds, reverse=True)
         assert "evals" in top[0].describe()
 
+    def test_threads_merge_every_shards_costs(self, generated_rules, small_dataset):
+        """Two threads scanning disjoint halves through one service count
+        each rule's evaluations as two services scanning a half each do."""
+        halves = (small_dataset.packages[::2], small_dataset.packages[1::2])
+        config = ScanServiceConfig(mode="inprocess", enable_cache=False)
+
+        def evaluations(service) -> dict:
+            return {
+                (cost.engine, cost.rule_key): cost.evaluations
+                for cost in service.top_slow_rules(n=100_000)
+            }
+
+        def scan(service, half) -> None:
+            for package in half:  # one merge per package
+                service.scan_batch([package])
+
+        expected: Counter = Counter()
+        for half in halves:
+            with ScanService(config=config) as alone:
+                alone.publish_generated(generated_rules)
+                scan(alone, half)
+                expected.update(evaluations(alone))
+        for _ in range(5):  # a fresh service: both threads insert every rule
+            with ScanService(config=config) as shared:
+                shared.publish_generated(generated_rules)
+                threads = [
+                    threading.Thread(target=scan, args=(shared, half))
+                    for half in halves
+                ]
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-5)
+                try:
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=120)
+                finally:
+                    sys.setswitchinterval(interval)
+                assert not any(thread.is_alive() for thread in threads)
+                assert evaluations(shared) == dict(expected)
+
+    def test_shard_costs_carry_attributes_through_pickle(self):
+        """A benchmark hook sets an attribute on element 1 of a worker's
+        ``_scan_shard`` result and pops it from ``__dict__`` in the parent,
+        so the rule-cost accumulator pickles its whole ``__dict__``: no
+        ``__slots__``, no ``__getstate__``."""
+        import repro.scanserve.service as service_module
+
+        shard = list(enumerate(prepare_packages(_needle_packages(4))))
+        saved_scanner = getattr(service_module._WORKER, "scanner", None)
+        try:
+            service_module._worker_init((_tiny_yara("rule_a", "needle_a"), None, None), 1)
+            result = service_module._scan_shard((shard, None))
+        finally:
+            service_module._WORKER.scanner = saved_scanner
+        detections, costs, seconds, spans = result
+        assert [d.yara_rules for _, d in detections] == [["rule_a"], [], ["rule_a"], []]
+        assert costs.costs[("yara", "rule_a")].evaluations == 4
+        costs.bench_spans = [["span", "from", "a", "worker"]]
+        restored = pickle.loads(pickle.dumps(result))[1]
+        assert restored.__dict__.pop("bench_spans") == [["span", "from", "a", "worker"]]
+        assert restored.costs == costs.costs
+
 
 class TestTelemetryDeterminism:
     def test_cost_ties_break_on_engine_then_rule_name(self):
@@ -228,11 +316,9 @@ class TestTelemetryDeterminism:
         orders = []
         for names in (("zeta", "alpha", "mid"), ("mid", "zeta", "alpha")):
             tracker = RuleCostTracker()
-            sample = RuleCostSample()
             for name in names:
-                sample.record("yara", name, 0.5, "pkg")
-            sample.record("semgrep", "alpha", 0.5, "pkg")
-            tracker.absorb(sample)
+                tracker.record("yara", name, 0.5, "pkg")
+            tracker.record("semgrep", "alpha", 0.5, "pkg")
             orders.append([(c.engine, c.rule_key) for c in tracker.top_slow_rules(4)])
         assert orders[0] == orders[1]
         assert orders[0] == [
@@ -538,7 +624,7 @@ class TestKeptWorkerPool:
             service.publish(yara=_tiny_yara("rule_a", "needle_a"))
             service.scan_batch(_needle_packages(4))
         service.publish(yara=_tiny_yara("rule_b", "needle_b"))
-        assert service.rescans == []
+        assert service.last_rescan is None
 
     def test_threads_share_one_process_service(self):
         """Threads pinning different versions make the pool swap between
@@ -732,10 +818,14 @@ class TestScanService:
         assert batch.result.confusion() == naive.confusion()
 
     def test_cache_serves_repeat_batches(self, service, small_dataset):
-        before = service.cache.stats.hits
+        service.scan_batch(small_dataset.packages)
+        before = _scan_counts()
         batch = service.scan_batch(small_dataset.packages)
         assert batch.cache_hits == len(small_dataset.packages)
-        assert service.cache.stats.hits > before
+        assert batch.cache_misses == 0
+        assert _counted_since(before)[("repro_scan_cache_total", "hit")] == len(
+            small_dataset.packages
+        )
 
     def test_hot_swap_invalidates_results(self, small_dataset):
         svc = ScanService(config=ScanServiceConfig(mode="inprocess"))
