@@ -14,8 +14,10 @@ allowed fraction.  Guarded lanes:
 * the fresh report's service ``shards`` when it ran on ``cpu_count >= 2``:
   the best process-mode point must reach :data:`MIN_PROCESS_SHARD_RATIO` of
   the 1-shard in-process packages/sec (again absolute, within one run).
-  On one core process workers time-slice a single CPU, so there is nothing
-  to check.
+  Each point's packages/sec is its service's second, warm batch, so a
+  process point's pool start (its cold batch, reported as
+  ``cold_seconds``) is not counted against it.  On one core process
+  workers time-slice a single CPU, so there is nothing to check.
 
 The guarded metric is the indexed/naive **speedup** of each lane, not raw
 packages/sec: the baseline is committed from one machine and the fresh

@@ -12,9 +12,10 @@ Aho–Corasick prefilter, registry malware pipelines) reach scale:
   unconditional fallback lane, so detections stay bit-for-bit identical to
   naive scanning);
 * :mod:`repro.scanserve.packed` — :class:`PackedAutomaton`, the atom matcher:
-  one batch entry point whose lane (per-atom substring, joined guard-prefix
-  pass or dense DFA walk) is fixed by the vocabulary, over publish-time
-  compiled byte-level tables with ``to_bytes``/``from_bytes`` serialization;
+  one batch entry point whose lane (per-atom substring, or a dense DFA walk
+  that steps every segment of the batch at once in numpy) is fixed by the
+  vocabulary, over publish-time compiled byte-level tables with
+  ``to_bytes``/``from_bytes`` serialization;
 * :mod:`repro.scanserve.registry` — versioned rule sets with atomic
   hot-swap and rollback;
 * :mod:`repro.scanserve.cache` — a content-hash result cache keyed on
@@ -41,12 +42,7 @@ from repro.scanserve.atoms import (
 )
 from repro.scanserve.cache import ScanResultCache
 from repro.scanserve.index import AUTOMATON_LANE, IndexStats, RuleIndex
-from repro.scanserve.packed import (
-    AUTOMATON_THRESHOLD,
-    BATCH_GUARD_LIMIT,
-    SUBSTRING_LANE,
-    PackedAutomaton,
-)
+from repro.scanserve.packed import AUTOMATON_THRESHOLD, SUBSTRING_LANE, PackedAutomaton
 from repro.scanserve.registry import (
     PublishEvent,
     RulesetRegistry,
@@ -82,7 +78,6 @@ __all__ = [
     "SUBSTRING_LANE",
     "IndexStats",
     "RuleIndex",
-    "BATCH_GUARD_LIMIT",
     "PackedAutomaton",
     "PublishEvent",
     "RulesetRegistry",

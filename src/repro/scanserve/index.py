@@ -10,9 +10,10 @@ rule evaluations.
 
 The matcher is compiled once at construction (i.e. at registry publish time)
 and picks its lane from the vocabulary alone: per-atom substring scans below
-:data:`~repro.scanserve.packed.AUTOMATON_THRESHOLD` atoms, the joined
-guard-prefix pass or the dense DFA walk above it.  The whole index pickles,
-so shard workers attach to the published tables instead of recompiling them.
+:data:`~repro.scanserve.packed.AUTOMATON_THRESHOLD` atoms, the dense DFA walk
+above it (per byte on small inputs, every segment of the batch in lockstep
+otherwise).  The whole index pickles, so shard workers attach to the
+published tables instead of recompiling them.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from repro.yarax.compiler import CompiledRule, CompiledRuleSet
 from repro.yarax.matcher import CompiledString, ConditionEvaluator
 
 #: Lane label reported by :attr:`RuleIndex.lane`, the ``lane`` span attribute
-#: and the ``repro_scan_batches_total{lane}`` counter for the matcher's joined
-#: and walk lanes; below :data:`~repro.scanserve.packed.AUTOMATON_THRESHOLD`
+#: and the ``repro_scan_batches_total{lane}`` counter for the matcher's walk
+#: lane; below :data:`~repro.scanserve.packed.AUTOMATON_THRESHOLD`
 #: atoms the label is :data:`~repro.scanserve.packed.SUBSTRING_LANE`.
 AUTOMATON_LANE = "automaton"
 
@@ -177,7 +178,6 @@ class IndexStats:
     lane: str = SUBSTRING_LANE
     packed_mode: str = "dense"  # the only table layout; kept for report readers
     packed_memory_bytes: int = 0
-    batch_guards: int = 0
 
     @property
     def indexed_fraction(self) -> float:
@@ -202,7 +202,9 @@ class RuleIndex:
     The scanning entry points accept optional precomputed forms so batch
     callers stop re-folding and re-scanning the same text per engine lane:
     ``folded`` is ``text.casefold()`` and ``hits`` an atom hit set from
-    :meth:`hits` / :meth:`hits_batch`.
+    :meth:`hits` / :meth:`hits_batch`.  Pass whole batches to
+    :meth:`hits_batch`: above the substring lane a large batch walks the
+    tables in lockstep, many times faster per byte than one text at a time.
     """
 
     def __init__(
@@ -290,9 +292,11 @@ class RuleIndex:
     def hits_batch(self, folded_texts: Sequence[Union[str, bytes]]) -> List[Set[int]]:
         """Atom hit sets for a batch of already-casefolded texts.
 
-        One batch-amortised pass (see :meth:`PackedAutomaton.find_batch`); feed
-        the per-text sets back into the scanning entry points as ``hits=``.
-        Accepts pre-encoded UTF-8 ``bytes`` haystacks.
+        One pass over the whole batch (see :meth:`PackedAutomaton.find_batch`):
+        in the walk lane, a batch large enough to pay for it steps every
+        segment of its bytes at once.  Feed the per-text sets back into the
+        scanning entry points as ``hits=``.  Accepts pre-encoded UTF-8
+        ``bytes`` haystacks.
         """
         return self._automaton.find_batch(folded_texts)
 
@@ -473,7 +477,7 @@ class RuleIndex:
     @property
     def lane(self) -> str:
         """The atom pass's label, fixed per vocabulary: ``substring`` or
-        ``automaton`` (the matcher's joined and walk lanes)."""
+        ``automaton`` (the matcher's walk lane)."""
         if self._automaton.lane == SUBSTRING_LANE:
             return SUBSTRING_LANE
         return AUTOMATON_LANE
@@ -491,5 +495,4 @@ class RuleIndex:
             automaton_states=automaton.state_count,
             lane=self.lane,
             packed_memory_bytes=automaton.memory_bytes,
-            batch_guards=automaton.guard_count,
         )

@@ -1,39 +1,40 @@
 """The rule index's literal-atom matcher.
 
 :class:`PackedAutomaton` reports, for each text of a batch, the ids of every
-vocabulary word occurring in it (plain substring semantics).  It runs one of
-three lanes, fixed at construction from the vocabulary alone:
+vocabulary word occurring in it (plain substring semantics).  Its lane is
+fixed at construction from the vocabulary alone:
 
 ``substring``
     Fewer than :data:`AUTOMATON_THRESHOLD` words: one C-speed ``word in
     text`` per word beats walking any pure-Python automaton.
 
-``joined``
-    While the vocabulary groups into at most :data:`BATCH_GUARD_LIMIT` guard
-    prefixes and holds at most :data:`BATCH_WORD_LIMIT` words: the batch is
-    joined with a separator byte no word contains, so each guard prefix
-    costs one C-speed ``bytes.find`` over the whole batch and a match can
-    never span two texts (it would have to contain the separator).  Each
-    guard hit is verified per member at that exact position.
-
 ``walk``
-    Otherwise each text walks a dense DFA, built only for walk vocabularies:
+    Otherwise the batch walks a dense DFA, built only for walk vocabularies:
     the goto/fail trie expanded over a *compressed* alphabet (only bytes
     that occur in some word get a symbol; every other byte maps to symbol
-    0, which always leads back to the root).
-    State ids are stored pre-multiplied by the alphabet size, so the inner
-    loop is ``state = delta[state + symbol]`` on one flat ``array('i')``.
-    Output states are renumbered to the *end* of the id space, so "did a word
-    end here" is a single ``state >= boundary`` comparison.
+    0, which always leads back to the root).  State ids are stored
+    pre-multiplied by the alphabet size, so one step is ``state =
+    delta[state + symbol]`` on one flat ``array('i')``; output states come
+    last, so "did a word end here" is one ``state >= boundary`` comparison.
+    A cost model (:func:`_segments_pay`) keeps small inputs on one
+    pure-Python step per byte (:meth:`~PackedAutomaton._walk_bytes`).
+    Larger batches step in lockstep (:meth:`~PackedAutomaton._walk_segments`):
+    their bytes are laid end to end with a symbol-0 gap after each text, so
+    no match spans two texts, and cut into segments that all advance one
+    byte per numpy gather.  A segment starts at the root ``m - 1`` bytes
+    (``m`` the longest word) before the first byte it owns.  A DFA state is
+    the longest suffix read that prefixes some word, at most ``m`` bytes,
+    so from that byte on each segment's state, and so its hits, are exact.
 
 The tables serialize: :meth:`to_bytes` emits a self-describing blob (with
-empty DFA tables outside the walk lane), :meth:`from_bytes` restores it
+empty DFA tables in the substring lane), :meth:`from_bytes` restores it
 without re-running construction, and ``pickle`` round-trips via the same
 blob — that is what lets a process-pool shard worker or a durable registry
 attach to published tables instead of recompiling them.  The lane is
 derived from the restored vocabulary, so it is never stored.
 
-Correctness notes (each lane is property-tested against a per-word oracle):
+Correctness notes (each lane and both walks are property-tested against a
+per-word oracle):
 
 * Words and haystacks are encoded UTF-8 with ``surrogatepass`` (casefolded
   *str* produced upstream may contain lone surrogates).  UTF-8 is
@@ -46,50 +47,35 @@ Correctness notes (each lane is property-tested against a per-word oracle):
 
 from __future__ import annotations
 
+import math
 import struct
 from array import array
-from bisect import bisect_right
 from collections import deque
+from itertools import accumulate
 from typing import Iterable, List, Sequence, Set, Union
 
-__all__ = [
-    "PackedAutomaton",
-    "AUTOMATON_THRESHOLD",
-    "BATCH_GUARD_LIMIT",
-    "BATCH_WORD_LIMIT",
-    "GUARD_PREFIX_LENGTH",
-    "SUBSTRING_LANE",
-    "JOINED_LANE",
-    "WALK_LANE",
-]
+import numpy as np
 
-#: Below this many words, per-word ``bytes.find`` (C speed) beats the DFA
-#: walk; the throughput bench's crossover sweep puts the packed walk's
-#: crossover near ~190 words.
+__all__ = ["PackedAutomaton", "AUTOMATON_THRESHOLD", "SUBSTRING_LANE", "WALK_LANE"]
+
+#: Below this many words, per-word ``bytes.find`` (C speed) beat the per-byte
+#: DFA walk in the throughput bench's crossover sweep (crossover ~190 words).
+#: The lockstep walk beats it on batches at every size that sweep covers (64
+#: words up); lowering the threshold waits for a measured end-to-end gain.
 AUTOMATON_THRESHOLD = 192
 
-#: The joined lane needs the vocabulary to group into at most this many guard
-#: prefixes; beyond that the per-text DFA walk is cheaper (one C ``find`` per
-#: guard costs ~1 pass each).
-BATCH_GUARD_LIMIT = 384
-
-#: ...and to hold at most this many words: verification loops over a guard's
-#: members at every guard occurrence, so huge vocabularies behind few guards
-#: pay more in verification than the DFA walk costs (measured crossover ~2k
-#: words in the throughput bench sweep).
-BATCH_WORD_LIMIT = 2048
-
-#: Guard prefix length (bytes) for the joined lane.  Words shorter than this
-#: are their own guard and need no verification step.
-GUARD_PREFIX_LENGTH = 8
-
 SUBSTRING_LANE = "substring"
-JOINED_LANE = "joined"
 WALK_LANE = "walk"
 
-#: Joins the joined lane's texts.  0xFF never occurs in UTF-8 (surrogatepass
-#: included), so no encoded word contains it.
-_SEPARATOR = b"\xff"
+# The walk's cost model, measured on registry-scale vocabularies (2 vCPUs,
+# Python 3.11, numpy 2.4): a per-byte step costs about _BYTE_NS; a lockstep
+# step costs about _STEP_NS plus _SEGMENT_NS per segment it advances.
+_BYTE_NS = 50
+_STEP_NS = 3500
+_SEGMENT_NS = 3
+#: Shortest segment: keeps the two per-segment state arrays (4-byte ints)
+#: at no more than 1/8 of the batch's bytes.
+_MIN_SEGMENT = 64
 
 _MAGIC = b"PKAC"
 _FORMAT_VERSION = 2
@@ -98,10 +84,22 @@ _FORMAT_VERSION = 2
 _HEADER = struct.Struct("<4sBB2xiiii")
 
 
-def _encode(text: Union[str, bytes]) -> bytes:
-    if isinstance(text, bytes):
-        return text
-    return text.encode("utf-8", "surrogatepass")
+def _segment_length(total: int, warm: int) -> int:
+    """Bytes each lockstep segment owns, for ``total`` laid-out bytes and
+    ``warm`` warm-up bytes per segment.
+
+    ``(warm + L)`` steps over ``total / L`` segments cost
+    ``(warm + L) * (_STEP_NS + _SEGMENT_NS * total / L)``, least at
+    ``L = sqrt(warm * total * _SEGMENT_NS / _STEP_NS)``.
+    """
+    return max(_MIN_SEGMENT, math.isqrt(warm * total * _SEGMENT_NS // _STEP_NS))
+
+
+def _segments_pay(total: int, warm: int) -> bool:
+    """Whether the cost model puts the lockstep walk below the per-byte one."""
+    length = _segment_length(total, warm)
+    segments = -(-total // length)
+    return (warm + length) * (_STEP_NS + _SEGMENT_NS * segments) < _BYTE_NS * total
 
 
 class PackedAutomaton:
@@ -121,35 +119,21 @@ class PackedAutomaton:
             if word not in seen:
                 seen[word] = len(self.words)
                 self.words.append(word)
-        self._build()
-
-    # -- construction -------------------------------------------------------------
-    def _build(self) -> None:
         self._encoded = [w.encode("utf-8", "surrogatepass") for w in self.words]
         self._finalize()
         if self.lane == WALK_LANE:
             self._build_tables()
 
+    # -- construction -------------------------------------------------------------
     def _finalize(self) -> None:
-        """Guard groups and the lane, derived from the words on every load.
+        """The lane, derived from the words on every load.
 
         The dense DFA tables start absent: only the walk lane reads them, so
-        only :meth:`_build` / :meth:`from_bytes` on a walk vocabulary, or a
+        only construction / :meth:`from_bytes` on a walk vocabulary, or a
         direct :meth:`_find_walk` call, builds them.
         """
-        # guard groups for the joined lane: words bucketed by their first
-        # GUARD_PREFIX_LENGTH bytes; one C find per guard, then per-text
-        # verification of the longer members
-        guards: dict[bytes, list[int]] = {}
-        for word_id, word in enumerate(self._encoded):
-            guards.setdefault(word[:GUARD_PREFIX_LENGTH], []).append(word_id)
-        self._guards = guards
-        if len(self.words) < AUTOMATON_THRESHOLD:
-            self.lane = SUBSTRING_LANE
-        elif len(guards) <= BATCH_GUARD_LIMIT and len(self.words) <= BATCH_WORD_LIMIT:
-            self.lane = JOINED_LANE
-        else:
-            self.lane = WALK_LANE
+        self.lane = SUBSTRING_LANE if len(self.words) < AUTOMATON_THRESHOLD else WALK_LANE
+        self._warm = max(map(len, self._encoded), default=1) - 1
         self.alphabet_size = 0
         self.state_count = 0
         self._out_first = 0
@@ -254,10 +238,6 @@ class PackedAutomaton:
         return len(self.words)
 
     @property
-    def guard_count(self) -> int:
-        return len(self._guards)
-
-    @property
     def memory_bytes(self) -> int:
         """Size of what the lanes read: the encoded words, plus the walk
         lane's translate map and DFA arrays once built."""
@@ -275,14 +255,14 @@ class PackedAutomaton:
     def find_batch(self, texts: Sequence[Union[str, bytes]]) -> List[Set[int]]:
         """Per-text hit sets for a whole batch, through this vocabulary's lane.
 
-        Accepts ``str`` or pre-encoded UTF-8 ``bytes`` haystacks.  Every lane
-        returns the same sets; only the cost of reaching them differs.
+        Accepts ``str`` or pre-encoded UTF-8 ``bytes`` haystacks.  Both lanes
+        return the same sets; only the cost of reaching them differs.
         """
-        encoded = [_encode(t) for t in texts]
+        encoded = [
+            t if isinstance(t, bytes) else t.encode("utf-8", "surrogatepass") for t in texts
+        ]
         if self.lane == SUBSTRING_LANE:
             return self._find_substring(encoded)
-        if self.lane == JOINED_LANE:
-            return self._find_joined(encoded)
         return self._find_walk(encoded)
 
     def _find_substring(self, encoded: Sequence[bytes]) -> List[Set[int]]:
@@ -290,8 +270,16 @@ class PackedAutomaton:
         return [{i for i, word in enumerate(words) if word in data} for data in encoded]
 
     def _find_walk(self, encoded: Sequence[bytes]) -> List[Set[int]]:
-        if self._delta is None:  # another lane's vocabulary, walked directly
+        """The walk lane: per byte or in lockstep, as the cost model says."""
+        if self._delta is None:  # a substring vocabulary, walked directly
             self._build_tables()
+        total = sum(len(data) + 1 for data in encoded)  # each text and its gap
+        if _segments_pay(total, self._warm):
+            return self._walk_segments(encoded)
+        return self._walk_bytes(encoded)
+
+    def _walk_bytes(self, encoded: Sequence[bytes]) -> List[Set[int]]:
+        """One pure-Python DFA step per byte of each text."""
         delta = self._delta
         boundary = self._out_boundary
         outputs = self._out_by_state
@@ -313,51 +301,60 @@ class PackedAutomaton:
             results.append(hits)
         return results
 
-    def _find_joined(self, encoded: Sequence[bytes]) -> List[Set[int]]:
-        joined = _SEPARATOR.join(encoded)
-        ends: list[int] = []
-        offset = 0
-        for data in encoded:
-            offset += len(data)
-            ends.append(offset)
-            offset += 1  # separator
+    def _walk_segments(self, encoded: Sequence[bytes]) -> List[Set[int]]:
+        """Every segment of the laid-out batch steps at once (module docstring).
+
+        Transient memory stays near the batch's byte count: one padded
+        buffer of translated bytes, read through a strided view, and two
+        state arrays of one int per segment.
+        """
+        if not encoded:
+            return []
+        warm = self._warm
+        starts = [0, *accumulate(len(data) + 1 for data in encoded)]  # a text, then its gap
+        total = starts[-1]
+        length = _segment_length(total, warm)
+        segments = -(-total // length)
+        # warm leading zeros (symbol 0 keeps the root), then each text's
+        # symbols, each followed by its gap; zeros pad the last segment
+        buffer = bytearray(warm + segments * length)
+        translate = self._translate
+        for start, data in zip(starts, encoded):
+            buffer[warm + start : warm + start + len(data)] = data.translate(translate)
+        # column j holds byte j of every segment's walk, warm-up first
+        columns = np.ndarray((warm + length, segments), np.uint8, buffer, strides=(1, length))
+        delta = np.frombuffer(self._delta, dtype=f"i{self._delta.itemsize}")
+        state = np.zeros(segments, delta.dtype)
+        index = np.empty_like(state)
+        boundary = self._out_boundary
+        # per hit: its offset in the laid-out batch and its output state
+        positions: list[np.ndarray] = []
+        outputs: list[np.ndarray] = []
+        for step in range(warm + length):
+            np.add(state, columns[step], out=index)
+            # a state plus a symbol is always in range; "clip" skips the
+            # bounds-checked copy that "raise" makes when given out=
+            np.take(delta, index, out=state, mode="clip")
+            if step >= warm and state.max() >= boundary:
+                owners = np.flatnonzero(state >= boundary)
+                positions.append(owners * length + (step - warm))
+                outputs.append(state[owners])
         results: List[Set[int]] = [set() for _ in encoded]
-        find = joined.find
-        startswith = joined.startswith
-        guard_len = GUARD_PREFIX_LENGTH
-        words = self._encoded
-        for guard, members in self._guards.items():
-            pos = find(guard)
-            while pos != -1:
-                text_index = bisect_right(ends, pos)
-                hits = results[text_index]
-                # every occurrence of a member starts with its guard, so an
-                # exact-position ``startswith`` decides each member at this
-                # occurrence — never a full-text scan per member (guards can
-                # be common English prefixes shared by thousands of atoms)
-                matched = 0
-                for word_id in members:
-                    if word_id in hits:
-                        matched += 1
-                    else:
-                        word = words[word_id]
-                        # a member no longer than the guard IS the guard
-                        if len(word) <= guard_len or startswith(word, pos):
-                            hits.add(word_id)
-                            matched += 1
-                if matched == len(members):
-                    # all members hit in this text; skip to the next text
-                    pos = find(guard, ends[text_index] + 1)
-                else:
-                    pos = find(guard, pos + 1)
+        if positions:
+            texts = np.searchsorted(starts, np.concatenate(positions), side="right") - 1
+            span = len(delta)
+            keys = texts * span + np.concatenate(outputs).astype(np.int64)
+            words = self._out_by_state
+            for key in np.unique(keys).tolist():  # each (text, state) once
+                results[key // span].update(words[key % span])
         return results
 
     # -- serialization ------------------------------------------------------------
     def to_bytes(self) -> bytes:
         """Self-describing blob: header, word list, alphabet map, packed tables.
 
-        Only the walk lane ships its tables; the other lanes write empty ones
-        (zero states), even after a direct :meth:`_find_walk` built them.
+        Only the walk lane ships its tables; the substring lane writes empty
+        ones (zero states), even after a direct :meth:`_find_walk` built them.
         """
         walk = self.lane == WALK_LANE
         header = _HEADER.pack(
@@ -393,7 +390,9 @@ class PackedAutomaton:
 
         On an array-itemsize mismatch (tables built on a platform with a
         different ``array('i')`` width) the automaton is rebuilt from the
-        word list instead — slower, never wrong.
+        word list instead — slower, never wrong.  So is a walk vocabulary
+        whose blob carries no tables: older blobs gave 192–2,048-word
+        vocabularies a lane that needed none.
         """
         if len(blob) < _HEADER.size or blob[:4] != _MAGIC:
             raise ValueError("not a PackedAutomaton blob")
@@ -444,6 +443,9 @@ class PackedAutomaton:
         self._finalize()
         if self.lane != WALK_LANE:
             return self  # an older blob may carry tables here; nothing reads them
+        if not states:
+            self._build_tables()
+            return self
         self.alphabet_size = alphabet
         self.state_count = states
         self._out_first = out_first

@@ -414,8 +414,9 @@ class TestAtomMatcher:
         expected = [_reference(words, text) for text in texts]
         encoded = [text.encode("utf-8") for text in texts]
         assert automaton._find_substring(encoded) == expected
-        assert automaton._find_joined(encoded) == expected
         assert automaton._find_walk(encoded) == expected
+        assert automaton._walk_bytes(encoded) == expected
+        assert automaton._walk_segments(encoded) == expected
         assert automaton.find_batch(texts) == expected
 
 
